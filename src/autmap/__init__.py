@@ -65,5 +65,4 @@ from .witnesses import (
     WreathAut,
     find_inverted_witness,
     psl2_witness,
-    wreath_apply,
 )

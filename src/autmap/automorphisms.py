@@ -20,28 +20,28 @@ import math
 
 import numpy as np
 
-from .errors import AutomorphismError, StrategyError
+from .errors import AutomorphismError, CapExceededError, StrategyError
 from .fields import field_for
 from .groups import (
     GroupTable,
     _canonicalize_codes,
     _matrix_mul_codes,
     _pack,
+    closure_mask,
     element_orders_vec,
+    is_homomorphism,
     projective_class_codes,
 )
 
 BRUTE_CAP = 512
-RANDOM_PAIRS = 100_000
-_CHECK_BLOCK = 2_000_000
 
 
 class Automorphism:
     """A multiplicative index bijection fixing the identity.
 
-    Construction always verifies multiplicativity: exhaustively over all
-    pairs when the parent table is materialized, on 10^5 seeded random pairs
-    otherwise.
+    Construction always verifies multiplicativity, exactly: phi(x*g) =
+    phi(x)*phi(g) for every x and every g in the parent's generating set,
+    which makes phi a homomorphism by induction on word length.
     """
 
     def __init__(self, parent: GroupTable, images, provenance: str = "raw"):
@@ -59,21 +59,8 @@ class Automorphism:
         self.images.setflags(write=False)
 
     def _check_multiplicative(self):
-        G = self.parent
-        n = G.n
-        img = self.images
-        if G.is_materialized:
-            T = G.table
-            block = max(1, _CHECK_BLOCK // n)
-            for start in range(0, n, block):
-                rows = slice(start, min(start + block, n))
-                if not np.array_equal(img[T[rows]], T[img[rows], :][:, img]):
-                    raise AutomorphismError("map is not multiplicative")
-        else:
-            rng = np.random.default_rng(0)
-            x, y = rng.integers(0, n, size=(2, RANDOM_PAIRS))
-            if not np.array_equal(img[G.mul_many(x, y)], G.mul_many(img[x], img[y])):
-                raise AutomorphismError("map is not multiplicative (sampled)")
+        if not is_homomorphism(self.parent, self.parent, self.images):
+            raise AutomorphismError("map is not multiplicative")
 
     # -- basic queries ------------------------------------------------------
 
@@ -211,33 +198,18 @@ def compute_inner(G: GroupTable) -> list[Automorphism]:
 # ---------------------------------------------------------------------------
 
 
-def _closure_mask(T: np.ndarray, gens: list[int]) -> np.ndarray:
-    n = T.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    garr = np.array(gens, dtype=np.int64)
-    while len(frontier) and len(gens):
-        prods = np.unique(T[frontier[:, None], garr[None, :]])
-        new = prods[~mask[prods]]
-        mask[new] = True
-        frontier = new
-    return mask
-
-
 def greedy_generators(G: GroupTable) -> list[int]:
     """Generating set grown by always taking the element that enlarges the
     generated subgroup the most (ties to the least index)."""
-    T = G.require_table()
     n = G.n
     gens: list[int] = []
-    have = _closure_mask(T, gens)
+    have = closure_mask(G, gens)
     while not have.all():
         best_x, best_size, best_have = -1, -1, None
         for x in range(n):
             if have[x]:
                 continue
-            trial = _closure_mask(T, gens + [x])
+            trial = closure_mask(G, gens + [x])
             size = int(trial.sum())
             if size > best_size:
                 best_x, best_size, best_have = x, size, trial
@@ -284,7 +256,7 @@ def _consistent_tuples(T, gens, tuples, members, edges, collect_images=False):
     e_t, e_s, e_k = edges
     survivors = []
     images_out = []
-    block = 4096
+    block = 1024  # bounds the (block, n) work arrays: about 1.5 MB each at n = 360
     for start in range(0, len(tuples), block):
         blk = tuples[start : start + block]
         bn = len(blk)
@@ -431,17 +403,22 @@ def _psl2_structured_images(G: GroupTable) -> list[tuple[np.ndarray, str]]:
 
 def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
     """Aut(G) via 'brute' (|G| <= 512), 'psl2_structured', or 'product'
-    (direct product with coprime factor orders)."""
+    (direct product with coprime factor orders).
+
+    An explicit strategy whose precondition fails raises StrategyError;
+    'auto' on a valid group that no strategy covers raises CapExceededError,
+    since only the brute-force cap stands in the way."""
     if strategy == "auto":
         if G.kind == "PSL2":
             strategy = "psl2_structured"
         elif G.n <= BRUTE_CAP:
             strategy = "brute"
-        elif G.kind == "product":
+        elif G.kind == "product" and math.gcd(*(H.n for H in G.meta["factors"])) == 1:
             strategy = "product"
         else:
-            raise StrategyError(
-                f"no automatic Aut strategy for {G.name} of order {G.n}"
+            raise CapExceededError(
+                f"{G.name}: order {G.n} exceeds the brute Aut search cap {BRUTE_CAP}, "
+                "and no structured strategy applies"
             )
     if strategy == "brute":
         if G.n > BRUTE_CAP:

@@ -9,7 +9,10 @@ Conventions shared by the whole package:
     composition order used for automorphisms;
   * the full n x n multiplication table is materialized for n <= 4096; larger
     groups multiply on demand through vectorized arithmetic on the canonical
-    representations.
+    representations;
+  * every group carries a generating set (``GroupTable.generators``), on which
+    homomorphisms (automorphisms, quotient projections) are validated
+    exactly.
 
 Every constructed table is self-checked: two-sided identity and inverses,
 associativity (exhaustive for n <= 256, on 10^5 seeded random triples above),
@@ -18,6 +21,7 @@ and the Latin-square property of materialized tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -145,6 +149,17 @@ class GroupTable:
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
 
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: repeatedly the least index outside the span of
+        the generators taken so far."""
+        gens: list[int] = []
+        span = closure_mask(self, gens)
+        while not span.all():
+            gens.append(int(np.argmin(span)))
+            span = closure_mask(self, gens)
+        return tuple(gens)
+
     def power(self, i: int, k: int) -> int:
         if k < 0:
             i, k = int(self.inv[i]), -k
@@ -231,11 +246,49 @@ def _verify_group(gt: GroupTable):
             raise GroupBuildError(f"{gt.name}: table is not a Latin square")
 
 
+def closure_mask(G: GroupTable, gens) -> np.ndarray:
+    """Membership mask of the subgroup generated by ``gens`` (inverses come
+    for free in a finite group, so right-multiplication words from the
+    identity suffice).  Multiplies through ``mul_many``, so no table is needed."""
+    mask = np.zeros(G.n, dtype=bool)
+    mask[0] = True
+    garr = np.asarray([int(g) for g in gens], dtype=np.int64)
+    frontier = np.array([0], dtype=np.int64)
+    while len(frontier) and len(garr):
+        prods = np.unique(
+            G.mul_many(np.repeat(frontier, len(garr)), np.tile(garr, len(frontier)))
+        )
+        frontier = prods[~mask[prods]]
+        mask[frontier] = True
+    return mask
+
+
+def is_homomorphism(G: GroupTable, H: GroupTable, images) -> bool:
+    """Whether x -> images[x] is a homomorphism G -> H, decided exactly:
+    images[x*g] == images[x]*images[g] for every x and every generator g of
+    G extends to all of G by induction on word length."""
+    images = np.asarray(images)
+    idx = np.arange(G.n, dtype=np.int64)
+    for g in G.generators:
+        lhs = images[G.mul_many(idx, np.full(G.n, g, dtype=np.int64))]
+        rhs = H.mul_many(images, np.full(G.n, images[g], dtype=np.int64))
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
 def _check_order_cap(name: str, order: int):
     if order > ORDER_CAP:
         raise CapExceededError(
             f"{name}: predicted order {order} exceeds cap {ORDER_CAP}", predicted=order
         )
+
+
+def _checked_order(kind: str, param: int | None, name: str) -> int:
+    """The atomic order from ``predicted_atomic_order``, within the cap."""
+    order = predicted_atomic_order(kind, param)
+    _check_order_cap(name, order)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +297,7 @@ def _check_order_cap(name: str, order: int):
 
 
 def build_cyclic(n: int) -> GroupTable:
-    if n < 1:
-        raise GroupBuildError(f"cyclic order must be >= 1, got {n}")
-    _check_order_cap(f"C{n}", n)
+    _checked_order("C", n, f"C{n}")
     reps = list(range(n))
 
     def mul_many(a, b):
@@ -266,9 +317,7 @@ def build_cyclic(n: int) -> GroupTable:
 
 def build_dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^k and reflections r^k s."""
-    if n < 1:
-        raise GroupBuildError(f"dihedral parameter must be >= 1, got {n}")
-    _check_order_cap(f"D{n}", 2 * n)
+    _checked_order("D", n, f"D{n}")
     reps = [(r, s) for r in range(n) for s in range(2)]  # index = 2r + s
 
     def mul_many(a, b):
@@ -336,13 +385,9 @@ def build_quaternion8() -> GroupTable:
 
 
 def _build_perm_group(kind: str, m: int) -> GroupTable:
-    if not 1 <= m <= PERM_DEGREE_CAP:
-        raise GroupBuildError(f"permutation degree must be in 1..{PERM_DEGREE_CAP}, got {m}")
-    name = f"{'S' if kind == 'symmetric' else 'A'}{m}"
-    order = math.factorial(m)
-    if kind == "alternating" and m >= 2:
-        order //= 2
-    _check_order_cap(name, order)
+    letter = "S" if kind == "symmetric" else "A"
+    name = f"{letter}{m}"
+    _checked_order(letter, m, name)
     perms = [
         p for p in itertools.permutations(range(m)) if kind == "symmetric" or perm_parity(p) == 0
     ]
@@ -446,18 +491,9 @@ def projective_class_codes(q: int, psl2_only: bool) -> tuple[np.ndarray, ...]:
 
 
 def _matrix_group(kind: str, q: int) -> GroupTable:
-    F = field_for(q)
-    if kind in ("PSL2", "PGL2") and q < MIN_PROJECTIVE_Q:
-        raise GroupBuildError(f"{kind} requires q >= {MIN_PROJECTIVE_Q}, got {q}")
-    if kind == "SL2":
-        order = q * (q * q - 1)
-    else:
-        order = q * (q * q - 1)
-        if kind == "PSL2":
-            order //= math.gcd(2, q - 1)
     name = f"{kind}({q})"
-    _check_order_cap(name, order)
-
+    order = _checked_order(kind, q, name)
+    F = field_for(q)
     MUL = F.mul_table.astype(np.int64)
     ADD = F.add_table.astype(np.int64)
     NEG = F.neg_table.astype(np.int64)
@@ -575,11 +611,10 @@ def predicted_atomic_order(kind: str, param: int | None) -> int:
 
 
 def build_atomic(kind: str, param: int | None = None) -> GroupTable:
+    """Build an atomic group; each builder validates its parameter and
+    checks the order cap."""
     if kind not in _ATOMIC_BUILDERS:
         raise GroupBuildError(f"unknown atomic group kind {kind!r}")
-    _check_order_cap(f"{kind}({param})", predicted_atomic_order(kind, param))
-    if kind == "Q8":
-        return _ATOMIC_BUILDERS[kind]()
     return _ATOMIC_BUILDERS[kind](param)
 
 

@@ -22,7 +22,9 @@ from .errors import GroupBuildError
 from .groups import GroupTable, sylow2_profile
 from .structure import derived_subgroup, full_subgroup, quotient
 
-DEFAULT_NODE_BUDGET = 5_000_000  # ~200x the worst observed need at order <= 24
+# Not enough for every group of order <= 24: C2 x C10 (both kinds) and the
+# Q8 x C3 orthomorphism search end indeterminate after 5,000,001 nodes.
+DEFAULT_NODE_BUDGET = 5_000_000
 
 EXISTS = "exists"
 NONEXISTENT = "nonexistent"

@@ -8,7 +8,8 @@ Grammar (case- and whitespace-insensitive):
     NAME  := C | D | S | A | SL2 | PSL2 | PGL2
 
 Products are left-associative.  Error offsets are 1-based positions in the
-input string.
+input string.  ``str(expr)`` is the canonical printer:
+parse(str(parse(s))) == parse(s).
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def parse_group_expr(text: str) -> GroupExpr:
     return node
 
 
-def format_group_expr(expr: GroupExpr) -> str:
-    """Canonical printer; parse(print(parse(s))) == parse(s)."""
-    return str(expr)
-
-
 def predicted_order(expr: GroupExpr) -> int:
     """Symbolic order; validates atom parameters without building anything."""
     if isinstance(expr, Atom):
@@ -141,7 +137,7 @@ def elaborate(expr: GroupExpr, size_cap: int | None = None) -> GroupTable:
     order = predicted_order(expr)
     if size_cap is not None and order > size_cap:
         raise CapExceededError(
-            f"{format_group_expr(expr)}: predicted order {order} exceeds cap {size_cap}",
+            f"{expr}: predicted order {order} exceeds cap {size_cap}",
             predicted=order,
         )
     return _build(expr)

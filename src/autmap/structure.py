@@ -15,7 +15,7 @@ import numpy as np
 
 from .automorphisms import Automorphism
 from .errors import CapExceededError, GroupBuildError, InvarianceError
-from .groups import GroupTable, conjugacy_classes
+from .groups import GroupTable, closure_mask, conjugacy_classes, is_homomorphism
 
 LATTICE_CAP = 1000
 
@@ -70,19 +70,10 @@ class Subgroup:
 
 
 def subgroup_closure(G: GroupTable, gens) -> Subgroup:
-    """The subgroup generated by ``gens`` (inverses come for free in a
-    finite group, so right-multiplication words from the identity suffice)."""
-    T = G.require_table()
-    mask = np.zeros(G.n, dtype=bool)
-    mask[0] = True
-    garr = np.unique(np.asarray([0] + [int(g) for g in gens], dtype=np.int64))
-    frontier = np.array([0], dtype=np.int64)
-    while len(frontier):
-        prods = np.unique(T[frontier[:, None], garr[None, :]].ravel())
-        new = prods[~mask[prods]]
-        mask[new] = True
-        frontier = new
-    return Subgroup(G, tuple(int(x) for x in np.nonzero(mask)[0]))
+    """The subgroup generated by ``gens``.  Needs the table, as Subgroup
+    re-checks closure over all member pairs."""
+    G.require_table()
+    return Subgroup(G, tuple(int(x) for x in np.nonzero(closure_mask(G, gens))[0]))
 
 
 def trivial_subgroup(G: GroupTable) -> Subgroup:
@@ -213,8 +204,8 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
         meta={"parent": G, "subgroup": N, "coset_reps": coset_reps},
         table=table,
     )
-    # projection is a homomorphism (all pairs) with kernel exactly N
-    if not np.array_equal(proj[T], table[proj[:, None], proj[None, :]]):
+    # projection is a homomorphism with kernel exactly N
+    if not is_homomorphism(G, quot, proj):
         raise GroupBuildError("quotient projection is not a homomorphism")
     if sorted(int(v) for v in np.nonzero(proj == 0)[0]) != list(N.members):
         raise GroupBuildError("projection kernel is not N")

@@ -10,7 +10,7 @@ from autmap.automorphisms import (
     identity_automorphism,
     inner_automorphism,
 )
-from autmap.errors import AutomorphismError, StrategyError
+from autmap.errors import AutomorphismError, CapExceededError, StrategyError
 from autmap.groups import (
     Permutation,
     build_alternating,
@@ -52,6 +52,18 @@ def test_non_multiplicative_map_rejected():
         Automorphism(G, [0, 2, 1, 3, 4])
     with pytest.raises(AutomorphismError):
         Automorphism(G, [1, 0, 2, 3, 4])  # does not fix identity
+
+
+@pytest.mark.parametrize("swap", [(1, 2), (4000, 5039)])
+def test_generator_check_on_demand_group(swap):
+    G = build_symmetric(7)  # 5040: checked without a table
+    assert not G.is_materialized
+    alpha = inner_automorphism(G, 100)
+    assert not alpha.is_identity()
+    images = np.array(alpha.images)
+    images[list(swap)] = images[list(swap[::-1])]
+    with pytest.raises(AutomorphismError):
+        Automorphism(G, images)
 
 
 def test_compose_and_inverse():
@@ -136,6 +148,13 @@ def test_product_strategy_coprime():
     assert len(A) == 4  # Aut(C3) x Aut(C4) = 2 x 2
     with pytest.raises(StrategyError):
         compute_aut(elaborate_text("C2 x C4"), "product")
+
+
+def test_auto_strategy_uncovered_group_is_a_cap():
+    # valid groups above the brute cap with no structured route
+    for G in (build_symmetric(7), direct_product(build_alternating(5), build_alternating(5))):
+        with pytest.raises(CapExceededError, match="512"):
+            compute_aut(G)
 
 
 def test_strategy_preconditions():

@@ -137,6 +137,21 @@ def test_digest_stable_across_parallelism():
     assert result_digest(r1, t1) == result_digest(r2, t2)
 
 
+def test_pinned_report_digests():
+    # also pinned in bench/expected.json: any change to a verdict, a
+    # certificate or the row order shows here
+    results, table, code = cmd_verify_theorem(None, jobs=1)
+    assert code == EXIT_OK
+    assert result_digest(results, table) == (
+        "b6f7127dbaf8295f4fa11c5a5dbc5ffa9230ca4817db2767db5a6d729a2390e6"
+    )
+    results, table, code = cmd_witness_psl2(7, 0)
+    assert code == EXIT_OK
+    assert result_digest(results, table) == (
+        "a51d54473e516e01b30d04f1ef9231d72598630b1602c089cddcb8b55818679d"
+    )
+
+
 def test_digest_ignores_wall_time():
     r, t, _ = cmd_mappings("C5", cap=10000)
     a = build_report("mappings", r, t, scope=["C5"], seed=0, caps={}, wall_time_s=0.5)
@@ -184,6 +199,12 @@ def test_main_input_errors():
 def test_main_cap_exceeded():
     assert main(["mappings", "--group", "S8"]) == EXIT_CAP_EXCEEDED
     assert main(["mappings", "--group", "A5", "--cap", "10"]) == EXIT_CAP_EXCEEDED
+
+
+def test_main_uncovered_aut_strategy_exits_cap_exceeded():
+    # a valid expression that no Aut strategy covers is a cap, not an input error
+    group = " x ".join(["C2"] * 10)
+    assert main(["spectrum", "--group", group, "--k-min", "1", "--k-max", "1"]) == EXIT_CAP_EXCEEDED
 
 
 def test_main_witness_subcommands(tmp_path):

@@ -17,12 +17,13 @@ from autmap.groups import (
     build_sl2,
     build_symmetric,
     center,
+    closure_mask,
     conjugacy_classes,
     direct_product,
     element_order,
     sylow2_profile,
 )
-from helpers import find_isomorphism
+from helpers import closure, find_isomorphism
 
 # ---------------------------------------------------------------------------
 # orders of the atomic constructors
@@ -59,6 +60,13 @@ def test_parameter_validation():
         build_cyclic(0)
     with pytest.raises(GroupBuildError):
         build_atomic("X", 3)
+
+
+def test_direct_builder_keeps_order_cap():
+    # psl2_witness calls build_psl2 directly, not through build_atomic
+    with pytest.raises(CapExceededError) as info:
+        build_psl2(29)
+    assert info.value.predicted == 12180
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,31 @@ def test_on_demand_direct_product():
         x = i * 25 + j
         assert G.inverse(x) == H.inverse(i) * 25 + (25 - j) % 25
         assert element_order(G, x) % element_order(H, i) == 0
+
+
+# ---------------------------------------------------------------------------
+# generating sets
+# ---------------------------------------------------------------------------
+
+
+def test_generators_generate_every_catalog_group():
+    from autmap.catalog import CATALOG, catalog_group
+
+    for entry in CATALOG:
+        G = catalog_group(entry.name)
+        assert closure_mask(G, G.generators).all(), entry.name
+
+
+@pytest.mark.parametrize("text", ["S7", "PSL2(7) x C25"])
+def test_generators_generate_on_demand_groups(text):
+    from autmap.parser import elaborate_text
+
+    G = elaborate_text(text)
+    assert not G.is_materialized
+    assert G.generators[0] == 1  # the least non-identity index comes first
+    assert closure_mask(G, G.generators).all()
+    assert not closure_mask(G, G.generators[:-1]).all()
+    assert len(closure(G, list(G.generators))) == G.n  # pure-Python reference
 
 
 def test_construction_rejects_broken_multiplication():

@@ -10,7 +10,6 @@ from autmap.witnesses import (
     WreathAut,
     find_inverted_witness,
     psl2_witness,
-    wreath_apply,
 )
 
 
@@ -32,14 +31,14 @@ def aut_a5(a5):
 def test_wreath_identity_map(a5):
     ident = identity_automorphism(a5)
     w = WreathAut(a5, 3, (ident, ident, ident), (0, 1, 2))
-    assert wreath_apply(w, (5, 9, 13)) == (5, 9, 13)
+    assert w.apply((5, 9, 13)) == (5, 9, 13)
 
 
 def test_wreath_swap_pattern(a5):
     ident = identity_automorphism(a5)
     w = WreathAut(a5, 2, (ident, ident), (1, 0))
     a = 17
-    assert wreath_apply(w, (a, 0)) == (0, a)
+    assert w.apply((a, 0)) == (0, a)
 
 
 def test_wreath_respects_products(a5, aut_a5):
@@ -52,6 +51,12 @@ def test_wreath_respects_products(a5, aut_a5):
         uv = tuple(a5.mul(a, b) for a, b in zip(u, v))
         wu, wv = w.apply(u), w.apply(v)
         assert w.apply(uv) == tuple(a5.mul(a, b) for a, b in zip(wu, wv))
+
+
+def test_wreath_rejects_non_automorphism_alpha(a5):
+    ident = identity_automorphism(a5)
+    with pytest.raises(GroupBuildError):
+        WreathAut(a5, 2, (ident, np.arange(60, dtype=np.int32)), (1, 0))
 
 
 def test_wreath_validation(a5):
