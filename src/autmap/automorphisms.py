@@ -28,6 +28,7 @@ from .groups import (
     _matrix_mul_codes,
     _pack,
     closure_mask,
+    closure_tree,
     element_orders_vec,
     is_homomorphism,
     projective_class_codes,
@@ -206,10 +207,14 @@ def greedy_generators(G: GroupTable) -> list[int]:
     have = closure_mask(G, gens)
     while not have.all():
         best_x, best_size, best_have = -1, -1, None
+        # x inside an earlier candidate's span generates no more than that
+        # candidate did, so it cannot win and is skipped
+        seen = have.copy()
         for x in range(n):
-            if have[x]:
+            if seen[x]:
                 continue
             trial = closure_mask(G, gens + [x])
+            seen |= trial
             size = int(trial.sum())
             if size > best_size:
                 best_x, best_size, best_have = x, size, trial
@@ -220,40 +225,14 @@ def greedy_generators(G: GroupTable) -> list[int]:
     return gens
 
 
-def _bfs_schedule(T: np.ndarray, gens: list[int]):
-    """Right-multiplication BFS tree from the identity over <gens>.
-
-    Returns (members in discovery order, edge arrays (tgt, src, genpos)):
-    every member x != 1 satisfies x = members[src] * gens[genpos].
-    """
-    n = T.shape[0]
-    disc = np.zeros(n, dtype=bool)
-    disc[0] = True
-    order = [0]
-    e_t, e_s, e_k = [], [], []
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for k, g in enumerate(gens):
-            y = int(T[x, g])
-            if not disc[y]:
-                disc[y] = True
-                order.append(y)
-                e_t.append(y)
-                e_s.append(x)
-                e_k.append(k)
-    return (
-        np.array(order, dtype=np.int64),
-        (np.array(e_t, dtype=np.int64), np.array(e_s, dtype=np.int64), np.array(e_k, dtype=np.int64)),
-    )
-
-
-def _consistent_tuples(T, gens, tuples, members, edges, collect_images=False):
+def _consistent_tuples(T, gens, tuples, members, tree):
     """Filter candidate generator-image tuples to those that extend to an
-    injective homomorphism on the subgroup spanned by ``members``."""
+    injective homomorphism on the subgroup spanned by ``members``; returns
+    the survivors and their images.  ``members`` and ``tree`` are the
+    discovery order and BFS tree from ``closure_tree``."""
     n = T.shape[0]
-    e_t, e_s, e_k = edges
+    src, genpos = tree
+    targets = members[1:]
     survivors = []
     images_out = []
     block = 1024  # bounds the (block, n) work arrays: about 1.5 MB each at n = 360
@@ -262,7 +241,7 @@ def _consistent_tuples(T, gens, tuples, members, edges, collect_images=False):
         bn = len(blk)
         phi = np.full((bn, n), -1, dtype=np.int32)
         phi[:, 0] = 0
-        for t, s, k in zip(e_t, e_s, e_k):
+        for t, s, k in zip(targets, src, genpos):
             phi[:, t] = T[phi[:, s], blk[:, k]]
         ok = np.ones(bn, dtype=bool)
         for k, g in enumerate(gens):
@@ -271,22 +250,12 @@ def _consistent_tuples(T, gens, tuples, members, edges, collect_images=False):
             ok &= (lhs == rhs).all(axis=1)
         ok &= (phi[:, members] == 0).sum(axis=1) == 1
         survivors.append(blk[ok])
-        if collect_images:
-            images_out.append(phi[ok])
-    kept = np.concatenate(survivors) if survivors else tuples[:0]
-    if collect_images:
-        imgs = (
-            np.concatenate(images_out)
-            if images_out
-            else np.empty((0, n), dtype=np.int32)
-        )
-        return kept, imgs
-    return kept
+        images_out.append(phi[ok])
+    return np.concatenate(survivors), np.concatenate(images_out)
 
 
 def _brute_aut_images(G: GroupTable) -> np.ndarray:
     T = G.require_table()
-    n = G.n
     gens = greedy_generators(G)
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
@@ -296,24 +265,16 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
         np.nonzero((orders == orders[g]) & (cent == cent[g]))[0].astype(np.int64)
         for g in gens
     ]
-    prefixes = np.empty((1, 0), dtype=np.int64)
-    images = None
-    for j in range(len(gens)):
-        cands = cand_lists[j]
-        expanded = np.repeat(prefixes, len(cands), axis=0)
-        col = np.tile(cands, len(prefixes))[:, None]
-        tuples = np.hstack([expanded, col])
-        members, edges = _bfs_schedule(T, gens[: j + 1])
-        last = j == len(gens) - 1
-        if last:
-            if len(members) != n:
-                raise AutomorphismError("generators do not generate the group")
-            tuples, images = _consistent_tuples(
-                T, gens[: j + 1], tuples, members, edges, collect_images=True
-            )
-        else:
-            tuples = _consistent_tuples(T, gens[: j + 1], tuples, members, edges)
-        prefixes = tuples
+    tuples = np.empty((1, 0), dtype=np.int64)
+    for j, cands in enumerate(cand_lists):
+        expanded = np.repeat(tuples, len(cands), axis=0)
+        col = np.tile(cands, len(tuples))[:, None]
+        mask, members, tree = closure_tree(G, gens[: j + 1])
+        tuples, images = _consistent_tuples(
+            T, gens[: j + 1], np.hstack([expanded, col]), members, tree
+        )
+    if not mask.all():
+        raise AutomorphismError("generators do not generate the group")
     return images
 
 

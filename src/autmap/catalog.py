@@ -73,6 +73,4 @@ def catalog_group(name: str) -> GroupTable:
 
 @lru_cache(maxsize=None)
 def catalog_aut(name: str) -> AutGroup:
-    G = catalog_group(name)
-    strategy = "psl2_structured" if G.kind == "PSL2" else "brute"
-    return compute_aut(G, strategy)
+    return compute_aut(catalog_group(name))

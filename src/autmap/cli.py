@@ -11,10 +11,8 @@ bug, never new mathematics); 3 input error; 4 cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,13 +54,6 @@ EXIT_CAP_EXCEEDED = 4
 K_RANGE_LIMIT = 16
 
 
-def _ordered_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _reverify_verdict(G, alpha, verdict) -> None:
     """Re-check a completeness certificate right before emission."""
     if verdict.verdict:
@@ -89,7 +80,7 @@ def _certificate_text(verdict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_theorem(scope: list[str] | None, jobs: int) -> tuple[dict, list[dict], int]:
+def cmd_verify_theorem(scope: list[str] | None) -> tuple[dict, list[dict], int]:
     names = scope if scope else [e.name for e in NONSOLVABLE_ENTRIES]
     for name in names:
         get_entry(name)  # validate early: unknown names are input errors
@@ -154,7 +145,7 @@ def cmd_verify_theorem(scope: list[str] | None, jobs: int) -> tuple[dict, list[d
         }
         return result, rows
 
-    pairs = _ordered_map(one_group, names, jobs)
+    pairs = [one_group(name) for name in names]
     results = {"groups": [p[0] for p in pairs]}
     table = [row for p in pairs for row in p[1]]
     violations = [
@@ -177,7 +168,7 @@ def cmd_verify_theorem(scope: list[str] | None, jobs: int) -> tuple[dict, list[d
 
 
 def cmd_spectrum(
-    expr: str, k_min: int, k_max: int, iterate: bool, all_autos: bool, cap: int, jobs: int
+    expr: str, k_min: int, k_max: int, iterate: bool, all_autos: bool, cap: int
 ) -> tuple[dict, list[dict], int]:
     if k_min > k_max:
         raise ValueError("--k-min must be <= --k-max")
@@ -188,9 +179,8 @@ def cmd_spectrum(
     autos = aut.all if all_autos else aut.coset_reps
     ks = list(range(k_min, k_max + 1))
 
-    def one_alpha(item):
-        idx, alpha = item
-        rows = []
+    table = []
+    for idx, alpha in enumerate(autos):
         for k in ks:
             v = is_k_complete(alpha, k)
             _reverify_verdict(G, alpha, v)
@@ -204,11 +194,7 @@ def cmd_spectrum(
             }
             if iterate:
                 row["iterate_bijective"] = iterate_map_bijective(alpha, k) if k >= 1 else None
-            rows.append(row)
-        return rows
-
-    chunks = _ordered_map(one_alpha, list(enumerate(autos)), jobs)
-    table = [row for chunk in chunks for row in chunk]
+            table.append(row)
     results = {
         "group": G.name,
         "order": G.n,
@@ -366,7 +352,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    common.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--cap", type=int, default=ORDER_CAP, help="group order cap")
 
@@ -436,12 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify-theorem":
             scope = args.scope if args.scope else [e.name for e in NONSOLVABLE_ENTRIES]
-            results, table, code = cmd_verify_theorem(args.scope, args.jobs)
+            results, table, code = cmd_verify_theorem(args.scope)
         elif args.command == "spectrum":
             scope = [args.group]
             results, table, code = cmd_spectrum(
-                args.group, args.k_min, args.k_max, args.iterate, args.all_autos,
-                args.cap, args.jobs,
+                args.group, args.k_min, args.k_max, args.iterate, args.all_autos, args.cap
             )
         elif args.command == "witness":
             if args.witness_kind == "psl2":

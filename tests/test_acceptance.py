@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import json
 import time
 from contextlib import contextmanager
 from math import gcd
@@ -12,7 +13,8 @@ import numpy as np
 
 from autmap.automorphisms import frobenius_field_aut, identity_automorphism
 from autmap.catalog import CATALOG, NONSOLVABLE_ENTRIES, catalog_aut, catalog_group
-from autmap.cli import EXIT_OK, cmd_spectrum, cmd_verify_theorem, cmd_witness_wreath
+from autmap.cli import EXIT_OK, cmd_spectrum, cmd_witness_wreath
+from autmap.cli import main as cli_main
 from autmap.completeness import (
     inversion_criterion,
     is_antisymmetric,
@@ -23,7 +25,6 @@ from autmap.completeness import (
 )
 from autmap.fields import field_for
 from autmap.groups import build_psl2, conjugacy_classes
-from autmap.reports import result_digest
 from autmap.structure import normal_subgroups, quotient, subgroup_table, transport_aut
 from autmap.witnesses import WreathAut, find_inverted_witness, psl2_witness
 
@@ -221,29 +222,34 @@ def test_criterion_11_no_antisymmetric_automorphism_on_nonsolvable():
 def test_criterion_12_exploration_commands_run_and_reverify():
     with criterion(12, "open-question exploration sweeps complete with verified reports"):
         # 3-completeness over Aut(A5) coset representatives (no expected outcome)
-        results, table, code = cmd_spectrum("A5", 3, 3, False, False, 10000, jobs=2)
+        results, table, code = cmd_spectrum("A5", 3, 3, False, False, 10000)
         assert code == EXIT_OK and len(table) > 0
         # even k in -12..12 (no expected outcome)
-        results, table, code = cmd_spectrum("A5", -12, 12, False, False, 10000, jobs=2)
+        results, table, code = cmd_spectrum("A5", -12, 12, False, False, 10000)
         assert code == EXIT_OK
         assert {r["k"] for r in table} == set(range(-12, 13))
         # iterate-map variant on a small control
-        results, table, code = cmd_spectrum("C5", 1, 3, True, True, 10000, jobs=1)
+        results, table, code = cmd_spectrum("C5", 1, 3, True, True, 10000)
         assert code == EXIT_OK
         assert all("iterate_bijective" in r for r in table)
 
 
-def test_criterion_13_deterministic_digests_across_parallelism():
+def _manifest_digests(tmp_path, argv, jobs_list):
+    digests = set()
+    for jobs in jobs_list:
+        out = tmp_path / f"report{jobs}.json"
+        assert cli_main(argv + ["--jobs", str(jobs), "--out", str(out)]) == EXIT_OK
+        digests.add(json.loads(out.read_text())["manifest"]["digest"])
+    return digests
+
+
+def test_criterion_13_deterministic_digests_across_parallelism(tmp_path):
     with criterion(13, "bit-identical report digests at any parallelism degree"):
         scope = ["A5", "SL2(5)", "PSL2(7)", "C3"]
-        digests = set()
-        for jobs in (1, 2, 4):
-            results, table, _ = cmd_verify_theorem(scope, jobs=jobs)
-            digests.add(result_digest(results, table))
-        assert len(digests) == 1
-        a1, t1, _ = cmd_spectrum("S4", -4, 4, True, True, 10000, jobs=1)
-        a4, t4, _ = cmd_spectrum("S4", -4, 4, True, True, 10000, jobs=4)
-        assert result_digest(a1, t1) == result_digest(a4, t4)
+        assert len(_manifest_digests(tmp_path, ["verify-theorem", "--scope"] + scope, (1, 2, 4))) == 1
+        spectrum = ["spectrum", "--group", "S4", "--k-min", "-4", "--k-max", "4",
+                    "--iterate", "--all-autos"]
+        assert len(_manifest_digests(tmp_path, spectrum, (1, 4))) == 1
         w1, _, _ = cmd_witness_wreath("PSL2(7)", 3, seed=11, cap=10000)
         w2, _, _ = cmd_witness_wreath("PSL2(7)", 3, seed=11, cap=10000)
         assert w1 == w2

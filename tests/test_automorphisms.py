@@ -7,6 +7,7 @@ from autmap.automorphisms import (
     compute_inner,
     fixed_points,
     frobenius_field_aut,
+    greedy_generators,
     identity_automorphism,
     inner_automorphism,
 )
@@ -21,6 +22,7 @@ from autmap.groups import (
     direct_product,
 )
 from autmap.parser import elaborate_text
+import helpers
 
 # ---------------------------------------------------------------------------
 # single automorphisms
@@ -77,6 +79,14 @@ def test_compose_and_inverse():
 # ---------------------------------------------------------------------------
 # Aut(G) computation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["Q8", "C2 x C4", "D6", "S4", "A5", "SL2(5)", "A5 x C2"])
+def test_greedy_generators_match_reference(text):
+    # the skipping of candidates inside an earlier candidate's span must not
+    # change the choice the plain greedy rule makes
+    G = elaborate_text(text)
+    assert greedy_generators(G) == helpers.greedy_generators(G)
 
 
 def test_aut_of_c5():

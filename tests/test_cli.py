@@ -42,21 +42,21 @@ def test_catalog_lookup():
 
 
 def test_verify_theorem_control_c3():
-    results, table, code = cmd_verify_theorem(["C3"], jobs=1)
+    results, table, code = cmd_verify_theorem(["C3"])
     assert code == EXIT_OK
     (g,) = results["groups"]
     assert g["solvable"] and g["control_identity_1_complete"] and g["odd_order"]
 
 
 def test_verify_theorem_control_c4_identity_fails():
-    results, _, code = cmd_verify_theorem(["C4"], jobs=1)
+    results, _, code = cmd_verify_theorem(["C4"])
     assert code == EXIT_OK
     (g,) = results["groups"]
     assert g["solvable"] and not g["control_identity_1_complete"]
 
 
 def test_verify_theorem_a5():
-    results, table, code = cmd_verify_theorem(["A5"], jobs=1)
+    results, table, code = cmd_verify_theorem(["A5"])
     assert code == EXIT_OK
     (g,) = results["groups"]
     assert g["aut_size"] == 120 and g["all_fail"]
@@ -74,14 +74,14 @@ def test_verify_theorem_a5():
 
 
 def test_verify_theorem_control_certificate_is_the_image():
-    _, table, _ = cmd_verify_theorem(["C3"], jobs=1)
+    _, table, _ = cmd_verify_theorem(["C3"])
     (row,) = table
     values = sorted(int(v) for v in row["certificate"].removeprefix("image:").split(";"))
     assert values == [0, 1, 2]
 
 
 def test_spectrum_c5_gcd_pattern():
-    results, table, code = cmd_spectrum("C5", -2, 3, False, False, 10000, jobs=1)
+    results, table, code = cmd_spectrum("C5", -2, 3, False, False, 10000)
     assert code == EXIT_OK
     identity_rows = [r for r in table if r["provenance"] == "inner(0)"]
     assert len(identity_rows) == 6  # the identity is always the first rep
@@ -92,7 +92,7 @@ def test_spectrum_c5_gcd_pattern():
 
 
 def test_spectrum_with_iterate():
-    _, table, code = cmd_spectrum("S3", 1, 3, True, True, 10000, jobs=2)
+    _, table, code = cmd_spectrum("S3", 1, 3, True, True, 10000)
     assert code == EXIT_OK
     for row in table:
         assert "iterate_bijective" in row
@@ -100,7 +100,7 @@ def test_spectrum_with_iterate():
 
 def test_spectrum_k_limit():
     with pytest.raises(ValueError):
-        cmd_spectrum("C5", -20, 3, False, False, 10000, jobs=1)
+        cmd_spectrum("C5", -20, 3, False, False, 10000)
 
 
 def test_witness_psl2_cmd():
@@ -131,16 +131,20 @@ def test_mappings_cmd():
 # ---------------------------------------------------------------------------
 
 
-def test_digest_stable_across_parallelism():
-    r1, t1, _ = cmd_verify_theorem(["A5", "S5", "C3"], jobs=1)
-    r2, t2, _ = cmd_verify_theorem(["A5", "S5", "C3"], jobs=4)
-    assert result_digest(r1, t1) == result_digest(r2, t2)
+def test_digest_stable_across_parallelism(tmp_path):
+    digests = set()
+    for jobs in (1, 2, 4):
+        out = tmp_path / f"jobs{jobs}.json"
+        argv = ["verify-theorem", "--scope", "A5", "S5", "C3", "--jobs", str(jobs)]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        digests.add(json.loads(out.read_text())["manifest"]["digest"])
+    assert len(digests) == 1
 
 
 def test_pinned_report_digests():
     # also pinned in bench/expected.json: any change to a verdict, a
     # certificate or the row order shows here
-    results, table, code = cmd_verify_theorem(None, jobs=1)
+    results, table, code = cmd_verify_theorem(None)
     assert code == EXIT_OK
     assert result_digest(results, table) == (
         "b6f7127dbaf8295f4fa11c5a5dbc5ffa9230ca4817db2767db5a6d729a2390e6"

@@ -18,6 +18,7 @@ from autmap.groups import (
     build_symmetric,
     center,
     closure_mask,
+    closure_tree,
     conjugacy_classes,
     direct_product,
     element_order,
@@ -277,3 +278,43 @@ def test_construction_rejects_broken_multiplication():
             mul_many_fn=bad_mul,
             inv=[0, 2, 1],
         )
+
+
+def test_construction_rejects_nonassociative_loop():
+    from autmap.groups import GroupTable
+
+    # a Latin square with identity 0 and every element its own inverse: it
+    # passes the identity, inverse and Latin checks, so only the
+    # associativity check can refuse it
+    table = np.array(
+        [[int(c) for c in row] for row in ("01234", "10342", "24013", "32401", "43120")],
+        dtype=np.int32,
+    )
+    with pytest.raises(GroupBuildError, match="not associative"):
+        GroupTable(
+            kind="loop",
+            name="loop5",
+            reps=list(range(5)),
+            labels=[str(i) for i in range(5)],
+            mul_many_fn=lambda a, b: table[a, b],
+            inv=list(range(5)),
+            table=table,
+        )
+
+
+@pytest.mark.parametrize("text", ["PSL2(7)", "S7"])
+def test_closure_tree_invariants(text):
+    from autmap.parser import elaborate_text
+
+    G = elaborate_text(text)
+    gens = np.asarray(G.generators, dtype=np.int64)
+    mask, members, (src, genpos) = closure_tree(G, gens)
+    assert members[0] == 0
+    assert len(src) == len(genpos) == len(members) - 1
+    assert np.array_equal(members[1:], G.mul_many(src, gens[genpos]))
+    position = np.empty(G.n, dtype=np.int64)
+    position[members] = np.arange(len(members))
+    assert np.all(position[src] < np.arange(1, len(members)))
+    assert set(members.tolist()) == closure(G, gens.tolist())
+    assert len(members) == mask.sum()
+    assert np.array_equal(np.nonzero(mask)[0], np.sort(members))
