@@ -1,29 +1,44 @@
-"""Exhaustive backtracking search for complete mappings and orthomorphisms.
+"""Exhaustive search for complete mappings and orthomorphisms, as exact cover.
 
-The searcher assigns f(g) element by element in index order, values in
-ascending order, pruning with two occupancy bitmasks (used values of f, used
-values of the defining product) plus one sound feasibility invariant: in the
-abelianization G/G' the sum of the still-unused products must equal the sum
-of the unassigned arguments (resp. their inverses, for orthomorphisms) plus
-the sum of the still-unused values.  The invariant only discards branches
-that provably contain no solution, so exhaustion still certifies
-nonexistence and the first mapping found is unchanged; without it, cyclic
-groups of even order >= 14 cannot be exhausted in any practical budget.
+A complete mapping f (resp. orthomorphism) is a transversal of a Latin
+square: n cells (g, v) with exactly one cell in every row g, every column
+v = f(g) and every symbol g*v (resp. g^-1*v).  The searcher keeps, for each
+uncovered row, column and symbol, the bitmask of its live cells, branches on
+the item with the fewest (rows before columns before symbols, then least
+index; candidates in ascending order), and cuts a node as soon as some item
+has none.  Choosing a cell removes every cell sharing its row, column or
+symbol; removed cells go on one trail, and backtracking pops them back.
 
-No ordering heuristics: the same group always explores the same tree.
-Running out of node budget is a distinct third outcome.
+Depth-first search on these squares has heavy-tailed run times, so the
+search runs in passes under Luby's restart schedule: pass 0 in the order
+above, pass i >= 1 with every candidate list shuffled by random.Random(i),
+each cut off after 4n * luby(i + 1) nodes.  Shuffling only reorders the
+branches of the same tree, so a pass that ends before its cutoff has walked
+all of it: that, and nothing else, certifies nonexistence.  Every pass is a
+pure function of the group, so the same group always gives the same result
+and node count (summed over passes).  Running out of node budget is a
+distinct third outcome.
+
+One feasibility invariant prunes before the search: in the abelianization
+G/G' the products must sum to the arguments plus the values, so the product
+of all elements must lie in G'.  Each cell (g, v) already satisfies this
+relation, so below the root it never fails; at the root it settles every
+group with a nontrivial cyclic Sylow 2-subgroup with 0 nodes.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import GroupBuildError
 from .groups import GroupTable, sylow2_profile
-from .structure import derived_subgroup, full_subgroup, quotient
+from .structure import derived_subgroup, full_subgroup
 
-# Not enough for every group of order <= 24: C2 x C10 (both kinds) and the
-# Q8 x C3 orthomorphism search end indeterminate after 5,000,001 nodes.
+# Both kinds resolve in at most 136 nodes for every grammar-expressible group
+# of order <= 24, and in at most 28,638 (PSL2(7) complete) for C25, C45, C99,
+# D30, A5, S5 and PSL2(7).
 DEFAULT_NODE_BUDGET = 5_000_000
 
 EXISTS = "exists"
@@ -58,77 +73,146 @@ def _verify_mapping(G: GroupTable, rows, mapping) -> None:
         raise GroupBuildError("claimed mapping's defining product is not bijective")
 
 
+def _luby(i: int) -> int:
+    """The i-th term (i >= 1) of Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pass(rows, ldiv, limit: int, rng: random.Random | None):
+    """One depth-first pass over the exact-cover tree, expanding at most
+    `limit` nodes.  rows[g][v] is the symbol of cell (g, v) and ldiv[g][p]
+    the column of symbol p in row g; cell (g, v) is coded g*n + v.  Returns
+    (mapping or None, nodes, cut): cut is False only when the pass found a
+    mapping or walked the tree."""
+    n = len(rows)
+    covered = (1 << (n + 1)) - 1  # more bits than any live mask
+    rmask = [(1 << n) - 1] * n  # row g -> live columns v
+    cmask = list(rmask)  # column v -> live rows g
+    smask = list(rmask)  # symbol p -> live rows g
+    trail: list[int] = []  # removed cells
+    mapping = [0] * n
+
+    def candidates():
+        """Cells of the most constrained uncovered item: None when every item
+        is covered, [] when one has no live cell."""
+        best, kind, item = n + 1, 0, 0
+        for k, masks in enumerate((rmask, cmask, smask)):
+            counts = list(map(int.bit_count, masks))
+            least = min(counts)
+            if least < best:
+                best, kind, item = least, k, counts.index(least)
+                if not least:
+                    return []
+        if best > n:
+            return None
+        if kind == 0:
+            cells = [item * n + v for v in _bits(rmask[item])]
+        elif kind == 1:
+            cells = [g * n + item for g in _bits(cmask[item])]
+        else:
+            cells = [g * n + ldiv[g][item] for g in _bits(smask[item])]
+        if rng is not None:
+            rng.shuffle(cells)
+        return cells
+
+    def cover(g: int, v: int) -> None:
+        p = rows[g][v]
+        row = rows[g]
+        off = ~(1 << g)
+        for v2 in _bits(rmask[g]):
+            cmask[v2] &= off
+            smask[row[v2]] &= off
+            trail.append(g * n + v2)
+        off = ~(1 << v)
+        for g2 in _bits(cmask[v]):
+            rmask[g2] &= off
+            smask[rows[g2][v]] &= ~(1 << g2)
+            trail.append(g2 * n + v)
+        for g2 in _bits(smask[p]):
+            v2 = ldiv[g2][p]
+            rmask[g2] &= ~(1 << v2)
+            cmask[v2] &= ~(1 << g2)
+            trail.append(g2 * n + v2)
+        rmask[g] = cmask[v] = smask[p] = covered
+
+    def uncover(cell: int, mark: int) -> None:
+        g, v = divmod(cell, n)
+        rmask[g] = cmask[v] = smask[rows[g][v]] = 0
+        for removed in trail[mark:]:
+            g2, v2 = divmod(removed, n)
+            rmask[g2] |= 1 << v2
+            cmask[v2] |= 1 << g2
+            smask[rows[g2][v2]] |= 1 << g2
+        del trail[mark:]
+
+    nodes = 0
+    stack = [[candidates(), 0, 0]]  # [cells, next index, trail mark]
+    while stack:
+        frame = stack[-1]
+        cells, i, mark = frame
+        if i:
+            uncover(cells[i - 1], mark)
+        if i == len(cells):
+            stack.pop()
+            continue
+        if nodes >= limit:
+            return None, nodes, True
+        nodes += 1
+        frame[1] = i + 1
+        g, v = divmod(cells[i], n)
+        mapping[g] = v
+        cover(g, v)
+        nxt = candidates()
+        if nxt is None:
+            return tuple(mapping), nodes, False
+        if nxt:
+            stack.append([nxt, 0, len(trail)])
+    return None, nodes, False
+
+
 def _search(G: GroupTable, kind: str, budget: int) -> MappingCertificate:
+    if kind not in ("complete", "orthomorphism"):
+        raise GroupBuildError(f"unknown mapping kind {kind!r}")
     n = G.n
     T = G.require_table()
-    if kind == "complete":
-        rows = [T[g].tolist() for g in range(n)]
-    elif kind == "orthomorphism":
-        rows = [T[G.inverse(g)].tolist() for g in range(n)]
-    else:
-        raise GroupBuildError(f"unknown mapping kind {kind!r}")
 
-    # abelianization sums for the feasibility invariant
-    Q, proj = quotient(G, derived_subgroup(G, full_subgroup(G)))
-    qmul = [r.tolist() for r in Q.require_table()]
-    qinv = Q.inv.tolist()
-    pi = [int(x) for x in proj]
-    pi_term = pi if kind == "complete" else [pi[int(G.inverse(g))] for g in range(n)]
-    total = 0
+    # the feasibility invariant: the product of all elements lies in G'
+    prod = 0
     for g in range(n):
-        total = qmul[total][pi[g]]
-    suffix = [0] * (n + 1)  # sum of pi_term(g') for g' >= g
-    for g in range(n - 1, -1, -1):
-        suffix[g] = qmul[pi_term[g]][suffix[g + 1]]
+        prod = int(T[prod, g])
+    if prod not in derived_subgroup(G, full_subgroup(G)).members:
+        return MappingCertificate(G.name, kind, NONEXISTENT, None, 0)
 
-    mapping = [0] * n
+    tab = T.tolist()
+    inv_rows = [tab[h] for h in G.inv.tolist()]  # row of g^-1
+    rows, ldiv = (tab, inv_rows) if kind == "complete" else (inv_rows, tab)
+
     nodes = 0
-    exhausted = True
-
-    def feasible(g: int, upsum: int, uvsum: int) -> bool:
-        lhs = qmul[total][qinv[upsum]]
-        rhs = qmul[suffix[g]][qmul[total][qinv[uvsum]]]
-        return lhs == rhs
-
-    def rec(g: int, used_f: int, used_p: int, upsum: int, uvsum: int) -> bool:
-        nonlocal nodes, exhausted
-        if g == n:
-            return True
-        if not feasible(g, upsum, uvsum):
-            return False
-        row = rows[g]
-        for v in range(n):
-            bit_f = 1 << v
-            if used_f & bit_f:
-                continue
-            bit_p = 1 << row[v]
-            if used_p & bit_p:
-                continue
-            nodes += 1
-            if nodes > budget:
-                exhausted = False
-                return False
-            mapping[g] = v
-            if rec(
-                g + 1,
-                used_f | bit_f,
-                used_p | bit_p,
-                qmul[upsum][pi[row[v]]],
-                qmul[uvsum][pi[v]],
-            ):
-                return True
-            if not exhausted:
-                return False
-        return False
-
-    found = rec(0, 0, 0, 0, 0)
-    if found:
-        result = tuple(mapping)
-        _verify_mapping(G, rows, result)
-        return MappingCertificate(G.name, kind, EXISTS, result, nodes)
-    if exhausted:
-        return MappingCertificate(G.name, kind, NONEXISTENT, None, nodes)
-    return MappingCertificate(G.name, kind, INDETERMINATE, None, nodes)
+    for i in itertools.count():
+        limit = min(4 * n * _luby(i + 1), budget - nodes)
+        mapping, used, cut = _pass(rows, ldiv, limit, random.Random(i) if i else None)
+        nodes += used
+        if mapping is not None:
+            _verify_mapping(G, rows, mapping)
+            return MappingCertificate(G.name, kind, EXISTS, mapping, nodes)
+        if not cut:
+            return MappingCertificate(G.name, kind, NONEXISTENT, None, nodes)
+        if nodes >= budget:
+            return MappingCertificate(G.name, kind, INDETERMINATE, None, nodes)
 
 
 def find_complete_mapping(G: GroupTable, budget: int = DEFAULT_NODE_BUDGET) -> MappingCertificate:

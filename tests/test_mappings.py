@@ -1,5 +1,14 @@
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import autmap
 from autmap.groups import build_cyclic, build_dihedral, build_quaternion8, build_symmetric
 from autmap.mappings import (
     EXISTS,
@@ -48,11 +57,24 @@ def test_hall_paige_predictions():
     assert not hall_paige_predict(build_cyclic(16))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["C2", "C3", "C4", "C6", "C8", "C12", "C15", "C16", "D4", "D5", "D8", "Q8",
-     "S3", "S4", "A4", "C2 x C2", "C3 x C3", "C2 x C4"],
-)
+# One expression for each of the 59 isomorphism classes of groups of order
+# <= 24 that the grammar can express (checked by brute-force isomorphism
+# against all 267 sorted products of atoms), plus C2 x C2 x C2 x C3, a second
+# table of the class of C2 x C2 x C6.
+ORDER_AT_MOST_24 = [
+    "C1", "C2", "C3", "C4", "C2 x C2", "C5", "C6", "S3", "C7",
+    "C8", "C2 x C4", "C2 x C2 x C2", "D4", "Q8", "C9", "C3 x C3", "C10", "D5", "C11",
+    "C12", "C2 x C6", "A4", "D6", "C13", "C14", "D7", "C15",
+    "C16", "C2 x C8", "C4 x C4", "C2 x C2 x C4", "C2 x C2 x C2 x C2", "C2 x D4", "C2 x Q8", "D8",
+    "C17", "C18", "C3 x C6", "D9", "C3 x S3", "C19", "C20", "C2 x C10", "D10",
+    "C21", "C22", "D11", "C23",
+    "C24", "C2 x C12", "C2 x C2 x C6", "C2 x C2 x C2 x C3", "C2 x A4", "C2 x D6", "C3 x D4",
+    "Q8 x C3", "C4 x S3", "D12", "S4", "SL2(3)",
+]
+BEYOND_ORDER_24 = ["C25", "C45", "C99", "D30", "A5", "S5", "PSL2(7)"]
+
+
+@pytest.mark.parametrize("text", ORDER_AT_MOST_24 + BEYOND_ORDER_24)
 def test_search_agrees_with_characterization(text):
     G = elaborate_text(text)
     pred = hall_paige_predict(G)
@@ -69,11 +91,43 @@ def test_budget_exhaustion_is_indeterminate():
     assert cert.mapping is None
 
 
+# S4 and D50, both kinds; D50's orthomorphism is found only after restarts
+# (past pass 0's cutoff of 4n = 400 nodes), so the seeded shuffles count too
+_DETERMINISM_SCRIPT = """
+import json
+from autmap.groups import build_dihedral, build_symmetric
+from autmap.mappings import find_complete_mapping, find_orthomorphism
+certs = [f(G) for G in (build_symmetric(4), build_dihedral(50))
+         for f in (find_complete_mapping, find_orthomorphism)]
+print(json.dumps([[list(c.mapping), c.nodes] for c in certs]))
+"""
+
+
 def test_search_is_deterministic():
     G = build_symmetric(4)
     a = find_complete_mapping(G)
     b = find_complete_mapping(G)
     assert a.mapping == b.mapping and a.nodes == b.nodes
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_DETERMINISM_SCRIPT, {})
+    assert json.loads(here.getvalue())[3][1] > 400
+    src = str(Path(autmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+    there = subprocess.run(
+        [sys.executable, "-c", _DETERMINISM_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert there.stdout == here.getvalue()
+
+
+def test_c1001_search_runs_without_recursion():
+    G = build_cyclic(1001)
+    cert = find_complete_mapping(G, budget=5000)
+    assert cert.status == INDETERMINATE and cert.nodes == 5000
+    cert = find_orthomorphism(G)
+    assert cert.status == EXISTS
+    assert sorted(G.mul(G.inverse(g), cert.mapping[g]) for g in range(G.n)) == list(range(G.n))
 
 
 def test_returned_mappings_reverify():
