@@ -24,7 +24,6 @@ from .errors import AutomorphismError, CapExceededError, StrategyError
 from .fields import field_for
 from .groups import (
     GroupTable,
-    _canonicalize_codes,
     _matrix_mul_codes,
     _pack,
     closure_mask,
@@ -308,7 +307,6 @@ def frobenius_permutation(G: GroupTable, i: int) -> np.ndarray:
     for _ in range(i):
         fr = step[fr]
     A, B, C, D = G.meta["codes"]
-    # entrywise frobenius keeps the leading 1, so no re-canonicalization
     return _psl2_index_map(G, (fr[A], fr[B], fr[C], fr[D]))
 
 
@@ -323,8 +321,7 @@ def conjugation_permutation(G: GroupTable, nmat: tuple[int, int, int, int]) -> n
     ninv = (nd, NEG[nb], NEG[nc], na)  # adjugate: projective inverse
     A, B, C, D = G.meta["codes"]
     left = matmul((na, nb, nc, nd), (A, B, C, D))
-    full = matmul(left, ninv)
-    return _psl2_index_map(G, _canonicalize_codes(*full, F))
+    return _psl2_index_map(G, matmul(left, ninv))
 
 
 def frobenius_field_aut(G: GroupTable, i: int) -> Automorphism:

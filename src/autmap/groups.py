@@ -10,6 +10,12 @@ Conventions shared by the whole package:
   * the full n x n multiplication table is materialized for n <= 4096; larger
     groups multiply on demand through vectorized arithmetic on the canonical
     representations;
+  * a 2x2 matrix product over GF(q) is exact, through the field's tables, but
+    regrouped by rows: ``rowprod[u*q + v, y]`` packs the row vector (u, v)
+    times matrix y, so the product of x and y packs as
+    rowprod[top row of x, y] * q^2 + rowprod[bottom row of x, y], and one
+    lookup of that code, filled at every nonzero scalar multiple of each
+    projective representative, gives its index without canonicalization;
   * every group carries a generating set (``GroupTable.generators``), on which
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
@@ -136,7 +142,7 @@ class GroupTable:
         return self.table
 
     def mul_many(self, a, b) -> np.ndarray:
-        """Elementwise products of two index arrays."""
+        """Elementwise products of two broadcastable index arrays."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.table is not None:
@@ -207,11 +213,13 @@ def _row_blocks(n: int):
 
 
 def _materialize(n: int, mul_many_fn) -> np.ndarray:
+    """The n x n table, a block of rows at a time; every builder's
+    ``mul_many`` takes broadcastable index arrays."""
     table = np.empty((n, n), dtype=np.int32)
     cols = np.arange(n, dtype=np.int64)
     for rows in _row_blocks(n):
         r = np.arange(rows.start, rows.stop, dtype=np.int64)
-        table[rows] = mul_many_fn(np.repeat(r, n), np.tile(cols, len(r))).reshape(len(r), n)
+        table[rows] = mul_many_fn(r[:, None], cols[None, :])
     return table
 
 
@@ -241,13 +249,14 @@ def _verify_group(gt: GroupTable):
         ):
             raise GroupBuildError(f"{gt.name}: multiplication is not associative")
     if T is not None:
-        seen = np.zeros((n, n), dtype=bool)
-        seen[np.arange(n)[:, None], T] = True
-        rows_ok = seen.all()
-        seen[:] = False
-        seen[T, np.arange(n)[None, :]] = True
-        if not (rows_ok and seen.all()):
-            raise GroupBuildError(f"{gt.name}: table is not a Latin square")
+        for rows in _row_blocks(n):
+            r = np.arange(rows.stop - rows.start)
+            in_rows = np.zeros((len(r), n), dtype=bool)
+            in_rows[r[:, None], T[rows]] = True
+            in_cols = np.zeros((n, len(r)), dtype=bool)
+            in_cols[T[:, rows], r[None, :]] = True
+            if not (in_rows.all() and in_cols.all()):
+                raise GroupBuildError(f"{gt.name}: table is not a Latin square")
 
 
 def closure_tree(G: GroupTable, gens):
@@ -422,9 +431,7 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     lookup[codes] = np.arange(len(perms), dtype=np.int32)
 
     def mul_many(a, b):
-        x = arr[a]
-        y = arr[b]
-        comp = x[np.arange(len(x))[:, None], y]  # (p*q)(t) = p(q(t))
+        comp = np.take_along_axis(arr[a], arr[b], axis=-1)  # (p*q)(t) = p(q(t))
         return lookup[comp.astype(np.int64) @ pows]
 
     inv_arr = np.argsort(arr, axis=1)
@@ -539,40 +546,43 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     A, B, C, D = (np.ascontiguousarray(x[order_idx]) for x in (a, b, c, d))
     if len(A) != order:
         raise GroupBuildError(f"{name}: enumerated {len(A)} elements, expected {order}")
-
-    lookup = np.full(q**4, -1, dtype=np.int32)
-    lookup[_pack(A, B, C, D, q)] = np.arange(order, dtype=np.int32)
-    matmul = _matrix_mul_codes(F)
     projective = kind != "SL2"
 
+    # code_lookup maps the packed code of every matrix that stands for an
+    # element to that element's index (-1 elsewhere): for the projective
+    # kinds every nonzero scalar multiple of the representative, so a
+    # product needs no canonicalization; for SL2 the matrix itself.
+    scalars = np.arange(1, q) if projective else np.ones(1, dtype=np.int64)
+    lookup = np.full(q**4, -1, dtype=np.int32)
+    lookup[_pack(*(MUL[x[:, None], scalars] for x in (A, B, C, D)), q)] = np.arange(
+        order, dtype=np.int32
+    )[:, None]
+
+    # rowprod[u*q + v, y] packs the row vector (u, v) times matrix y; int16
+    # holds it, since every entry is below q^2
+    M16, A16 = F.mul_table, F.add_table
+    u = np.arange(q)[:, None]
+    rowprod = (
+        A16[M16[u, A][:, None], M16[u, C][None]] * q + A16[M16[u, B][:, None], M16[u, D][None]]
+    ).reshape(q * q, order)
+    top, bottom = A * q + B, C * q + D
+
     def mul_many(x, y):
-        m = matmul((A[x], B[x], C[x], D[x]), (A[y], B[y], C[y], D[y]))
-        if projective:
-            m = _canonicalize_codes(*m, F)
-        return lookup[_pack(*m, q)]
+        return lookup[rowprod[top[x], y].astype(np.int32) * (q * q) + rowprod[bottom[x], y]]
 
-    # inverse of [a b; c d] is the adjugate [d -b; -c a] (up to scalars /
-    # determinant 1), canonicalized for the projective kinds
-    ia, ib, ic, id_ = D, NEG[B], NEG[C], A
-    if projective:
-        ia, ib, ic, id_ = _canonicalize_codes(ia, ib, ic, id_, F)
-    inv = lookup[_pack(ia, ib, ic, id_, q)]
+    # inverse of [a b; c d] is the adjugate [d -b; -c a], up to a scalar
+    # (exactly, in SL2)
+    inv = lookup[_pack(D, NEG[B], NEG[C], A, q)]
 
-    def mat_rep(i):
-        es = [F.from_code(int(x[i])) for x in (A, B, C, D)]
-        if projective:
-            return ProjectiveMatrix(*es)
-        return tuple(es)
-
-    def mat_label(i):
-        ls = [F.label(F.from_code(int(x[i]))) for x in (A, B, C, D)]
-        return f"[{ls[0]} {ls[1]}; {ls[2]} {ls[3]}]"
-
+    elems = F.elements()
+    names = [F.label(e) for e in elems]
+    entries = list(zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()))
+    make_rep = ProjectiveMatrix if projective else lambda *es: es
     return GroupTable(
         kind=kind,
         name=name,
-        reps=[mat_rep(i) for i in range(order)],
-        labels=[mat_label(i) for i in range(order)],
+        reps=[make_rep(*(elems[e] for e in m)) for m in entries],
+        labels=["[{} {}; {} {}]".format(*(names[e] for e in m)) for m in entries],
         mul_many_fn=mul_many,
         inv=inv,
         meta={"q": q, "field": F, "codes": (A, B, C, D), "code_lookup": lookup},

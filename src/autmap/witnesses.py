@@ -38,7 +38,6 @@ from .errors import GroupBuildError, TheoremViolationError
 from .fields import field_for
 from .groups import (
     GroupTable,
-    _canonicalize_codes,
     _matrix_mul_codes,
     _pack,
     build_psl2,
@@ -231,7 +230,6 @@ def _pair_power(F, start_mat, start_j, e):
             tuple(np.int64(v) for v in x[0]),
             tuple(np.int64(v) for v in frob_mat(y[0], x[1])),
         )
-        m = _canonicalize_codes(*m, F)
         return tuple(int(v) for v in m), (x[1] + y[1]) % F.f
 
     acc = ((1, 0, 0, 1), 0)
@@ -241,9 +239,7 @@ def _pair_power(F, start_mat, start_j, e):
 
 
 def _psl2_element_index(G: GroupTable, codes: tuple[int, int, int, int]) -> int:
-    F = G.meta["field"]
-    canon = _canonicalize_codes(*(np.int64(x) for x in codes), F)
-    idx = int(G.meta["code_lookup"][_pack(*canon, G.meta["q"])])
+    idx = int(G.meta["code_lookup"][_pack(*codes, G.meta["q"])])
     if idx < 0:
         raise TheoremViolationError(f"matrix {codes} is not in {G.name}")
     return idx

@@ -193,6 +193,80 @@ def test_projective_canonicalization_idempotent_under_scaling(q):
             assert np.array_equal(x, y)
 
 
+def _reference_mul(G):
+    """Pure-Python product of two element indices of a matrix group: the
+    representative matrices multiplied entry by entry with F.mul/F.add (read
+    into lists over element codes), the result scaled to canonical form
+    (first nonzero entry 1) for the projective kinds."""
+    F = G.meta["field"]
+    elems = F.elements()
+    mul = [[F.to_code(F.mul(x, y)) for y in elems] for x in elems]
+    add = [[F.to_code(F.add(x, y)) for y in elems] for x in elems]
+    inv = [0] + [F.to_code(F.inv(x)) for x in elems[1:]]
+    projective = G.kind != "SL2"
+    mats = [
+        tuple(F.to_code(e) for e in ((r.a, r.b, r.c, r.d) if projective else r)) for r in G.reps
+    ]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def product(i, j):
+        a1, b1, c1, d1 = mats[i]
+        a2, b2, c2, d2 = mats[j]
+        m = (
+            add[mul[a1][a2]][mul[b1][c2]],
+            add[mul[a1][b2]][mul[b1][d2]],
+            add[mul[c1][a2]][mul[d1][c2]],
+            add[mul[c1][b2]][mul[d1][d2]],
+        )
+        if projective:
+            s = inv[next(x for x in m if x)]
+            m = tuple(mul[x][s] for x in m)
+        return index[m]
+
+    return product
+
+
+@pytest.mark.parametrize(
+    "build, q",
+    [(build_psl2, 4), (build_psl2, 5), (build_psl2, 7), (build_psl2, 8), (build_psl2, 9),
+     (build_sl2, 5), (build_pgl2, 5)],
+)
+def test_matrix_table_matches_reference(build, q):
+    G = build(q)
+    product = _reference_mul(G)
+    expected = np.array([[product(i, j) for j in range(G.n)] for i in range(G.n)])
+    assert np.array_equal(G.require_table(), expected)
+
+
+@pytest.mark.parametrize("build, q", [(build_psl2, 23), (build_sl2, 17), (build_pgl2, 19)])
+def test_on_demand_matrix_products_match_reference(build, q):
+    G = build(q)
+    assert not G.is_materialized
+    product = _reference_mul(G)
+    x, y = np.random.default_rng(q).integers(0, G.n, size=(2, 2000))
+    expected = [product(int(i), int(j)) for i, j in zip(x, y)]
+    assert G.mul_many(x, y).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "build, q",
+    [(build_psl2, 7), (build_psl2, 8), (build_psl2, 9), (build_pgl2, 5), (build_sl2, 5)],
+)
+def test_code_lookup_is_scalar_invariant(build, q):
+    from autmap.groups import _pack
+
+    G = build(q)
+    MUL = G.meta["field"].mul_table.astype(np.int64)
+    lookup = G.meta["code_lookup"]
+    idx = np.arange(G.n)
+    scalars = range(1, q) if G.kind != "SL2" else [1]
+    for lam in scalars:
+        codes = [MUL[x, lam] for x in G.meta["codes"]]
+        assert np.array_equal(lookup[_pack(*codes, q)], idx)
+    # every other code is outside the group
+    assert np.count_nonzero(lookup >= 0) == G.n * len(scalars)
+
+
 def test_psl2_4_isomorphic_to_a5():
     images = find_isomorphism(build_psl2(4), build_alternating(5))
     assert images is not None
@@ -298,6 +372,24 @@ def test_construction_rejects_nonassociative_loop():
             labels=[str(i) for i in range(5)],
             mul_many_fn=lambda a, b: table[a, b],
             inv=list(range(5)),
+            table=table,
+        )
+
+
+def test_construction_rejects_swapped_table_entries():
+    from autmap.groups import GroupTable
+
+    G = build_psl2(7)
+    table = G.require_table().copy()
+    table[5, [10, 20]] = table[5, [20, 10]]  # row 5 stays a permutation
+    with pytest.raises(GroupBuildError):
+        GroupTable(
+            kind=G.kind,
+            name="swapped",
+            reps=G.reps,
+            labels=G.labels,
+            mul_many_fn=lambda a, b: table[a, b],
+            inv=G.inv,
             table=table,
         )
 
