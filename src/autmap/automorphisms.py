@@ -2,20 +2,27 @@
 
 An automorphism is stored as a full index bijection over its parent group,
 which makes every downstream bijectivity scan a flat table lookup.  Aut(G) is
-computed either
+held as one validated representative per Inn(G)-coset together with the
+conjugations x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c
+are formed on demand.  The representatives are found either
 
   * by brute backtracking over generator images (|G| <= 512): generators are
     chosen greedily to minimize the generating set, candidate images are
     filtered by element order and centralizer size, and partial assignments
     are closed level by level into partial homomorphisms, pruning conflicts;
+    the resulting automorphisms are then split into cosets;
   * or, for PSL2(q), structurally: every automorphism is
-    M -> N * frob^i(M) * N^-1 with N ranging over PGL2(q) and i < f.
+    M -> N * frob^i(M) * N^-1 with N ranging over PGL2(q) and i < f, and
+    N over PGL2(q)/PSL2(q) gives one per coset;
+  * or, for a direct product of coprime orders, as pairs of the factors'.
 
 Composition order matches function composition: (a*b)(g) = a(b(g)).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -30,7 +37,6 @@ from .groups import (
     closure_tree,
     element_orders_vec,
     is_homomorphism,
-    projective_class_codes,
 )
 
 BRUTE_CAP = 512
@@ -70,6 +76,10 @@ class Automorphism:
 
     def __call__(self, x: int) -> int:
         return int(self.images[x])
+
+    def prefix(self, count: int | None) -> np.ndarray:
+        """The images of elements 0..count-1 (all of them for None)."""
+        return self.images[:count]
 
     def __eq__(self, other):
         return (
@@ -134,48 +144,194 @@ def fixed_points(alpha: Automorphism) -> list[int]:
     return [int(x) for x in fixed]
 
 
+class _Row(Automorphism):
+    """``rep`` o iota_c, an automorphism by construction (``rep`` is one, and
+    conjugation is one by the group axioms), so it is not re-checked.  Its
+    images are formed on first use; a prefix of them, or a single image, is
+    read without forming them."""
+
+    def __init__(self, parent: GroupTable, rep: np.ndarray, c: int, provenance: str):
+        self.parent = parent
+        self.provenance = provenance
+        self._rep = rep
+        self._c = c
+
+    @functools.cached_property
+    def images(self) -> np.ndarray:
+        images = self._rep.take(_conjugation(self.parent, self._c))
+        images.setflags(write=False)
+        return images
+
+    def prefix(self, count: int | None) -> np.ndarray:
+        if count is None or "images" in self.__dict__:
+            return self.images[:count]
+        return self._rep.take(_conjugation(self.parent, self._c, count))
+
+    def __call__(self, x: int) -> int:
+        G, c = self.parent, self._c
+        return int(self._rep[G.mul(G.mul(c, x), G.inverse(c))])
+
+
+def _conjugations(G: GroupTable, cs, cols) -> np.ndarray:
+    """Row i: x -> c_i x c_i^-1 over the elements ``cols``."""
+    cs = np.asarray(cs, dtype=np.int64)[:, None]
+    return np.asarray(G.mul_many(G.mul_many(cs, cols), G.inv[cs]), dtype=np.int32)
+
+
+def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
+    """x -> c x c^-1 over the elements 0..count-1 (all of G for None).  On a
+    table it is read as c (c x^-1)^-1, which touches row c alone."""
+    if G.table is None:
+        return _conjugations(G, [c], np.arange(G.n)[:count])[0]
+    row = G.table[c]
+    return row.take(G.inv.take(row.take(G.inv[:count])))
+
+
+def _conjugators(G: GroupTable) -> np.ndarray:
+    """The least element of each coset of Z(G), ascending: conjugation by
+    each gives every inner automorphism exactly once."""
+    gens = np.asarray(G.generators, dtype=np.int64)
+    idx = np.arange(G.n, dtype=np.int64)
+    central = np.all(G.mul_many(idx[:, None], gens) == G.mul_many(gens, idx[:, None]), axis=1)
+    least = idx
+    for z in np.nonzero(central)[0]:
+        least = np.minimum(least, G.mul_many(idx, z))
+    return np.unique(least)
+
+
+def _prefix_width(G: GroupTable) -> int:
+    """Columns 0..max(generators): two distinct automorphisms differ on a
+    generator, so this prefix orders them as their full images do."""
+    return max(G.generators, default=0) + 1
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    return np.lexsort(rows.T[::-1])
+
+
+def _row_ids(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index in ``keys`` of each row of ``queries``; raises unless the
+    keys are distinct and contain every query."""
+    _, ids = np.unique(np.concatenate([keys, queries]), axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    pos = np.full(len(keys) + len(queries), -1, dtype=np.int64)
+    pos[ids[: len(keys)]] = np.arange(len(keys))
+    if len(np.unique(ids[: len(keys)])) != len(keys):
+        raise AutomorphismError("duplicate automorphisms in Aut(G)")
+    found = pos[ids[len(keys) :]]
+    if np.any(found < 0):
+        raise AutomorphismError("Aut(G) is not a union of Inn(G)-cosets")
+    return found
+
+
+def _coset_partition(G: GroupTable, images: np.ndarray, cs: np.ndarray):
+    """Split ``images`` (every automorphism of G, one per row, sorted by
+    image sequence) into Inn(G)-cosets, all at once.
+
+    The coset of a row is its orbit under right composition with the
+    conjugations by the generators, which generate Inn(G); each orbit is
+    labelled by its least row through min-propagation along those edges.
+    Returns the least row of each coset and ``members[r, j]``, the row of
+    coset r's least member composed with conjugation by cs[j]."""
+    gens = np.asarray(G.generators, dtype=np.int64)
+    cols = np.arange(_prefix_width(G), dtype=np.int64)
+    keys = images[:, cols]
+    edges = _row_ids(keys, images[:, _conjugations(G, gens, cols)].reshape(-1, len(cols)))
+    edges = edges.reshape(len(images), len(gens))
+    label = np.arange(len(images))
+    while True:
+        low = np.minimum(label, label[edges].min(axis=1, initial=len(images)))
+        low = low[low]  # pointer jumping: labels only ever decrease
+        if np.array_equal(low, label):
+            break
+        label = low
+    reps = np.unique(label)
+    if len(reps) * len(cs) != len(images):
+        raise AutomorphismError("|Aut| != |Inn| * number of cosets")
+    members = _row_ids(keys, images[reps][:, _conjugations(G, cs, cols)].reshape(-1, len(cols)))
+    return reps, members.reshape(len(reps), len(cs))
+
+
 class AutGroup:
-    """Aut(G) with its inner subgroup and a transversal of Inn(G)-cosets.
+    """Aut(G) held as its Inn(G)-cosets: one validated representative per
+    coset, times Inn(G) as conjugation rows.  The images of row
+    alpha o iota_c are formed only when they are read.
 
     ``all``, ``inner`` and ``coset_reps`` are each sorted by image sequence;
     the transversal is the lexicographically least member of each coset.
+    ``reps`` are the representatives the rows are formed from, and
+    ``parts(j)`` names row j as (index into ``reps``, c).
+
+    Constructed from every automorphism of G (a list of Automorphism, such
+    as another AutGroup's ``all``), each row keeps its given provenance;
+    ``from_reps`` takes one representative per coset and a naming rule.
     """
 
-    def __init__(self, parent: GroupTable, all_autos: list[Automorphism]):
+    def __init__(self, parent: GroupTable, all_autos):
+        cs = _conjugators(parent)
+        autos = list(all_autos)
+        images = np.stack([a.images for a in autos])
+        order = _lex_order(images[:, : _prefix_width(parent)])
+        reps, members = _coset_partition(parent, images[order], cs)
+        provenance = [autos[i].provenance for i in order[members].reshape(-1)]
+        width = len(cs)
+        self._setup(
+            parent,
+            [autos[i] for i in order[reps]],
+            cs,
+            lambda r, c: provenance[r * width + int(np.searchsorted(cs, c))],
+        )
+
+    @classmethod
+    def from_reps(cls, parent: GroupTable, reps: list[Automorphism], tag) -> "AutGroup":
+        """Aut(G) from one validated automorphism per Inn(G)-coset;
+        ``tag(r, c)`` names row reps[r] o iota_c."""
+        self = cls.__new__(cls)
+        self._setup(parent, reps, _conjugators(parent), tag)
+        return self
+
+    def _setup(self, parent, reps, cs, tag):
         self.parent = parent
-        self.all = sorted(all_autos, key=lambda a: a.key)
-        self.inner = compute_inner(parent)
-        by_key = {a.key: a for a in self.all}
-        if len(by_key) != len(self.all):
-            raise AutomorphismError("duplicate automorphisms in Aut(G)")
-        for i in self.inner:
-            if i.key not in by_key:
-                raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
-        inner_mat = np.stack([i.images for i in self.inner])
-        self.coset_reps: list[Automorphism] = []
-        self._coset_of: dict[bytes, int] = {}
-        remaining = dict(by_key)
-        while remaining:
-            rep_key = min(remaining)
-            alpha = remaining[rep_key]
-            coset = alpha.images[inner_mat]  # rows: alpha o iota
-            for row in coset:
-                k = row.astype(">i4").tobytes()
-                if self._coset_of.get(k, len(self.coset_reps)) != len(self.coset_reps):
-                    raise AutomorphismError("cosets of Inn(G) are not disjoint")
-                if k in self._coset_of:
-                    continue
-                self._coset_of[k] = len(self.coset_reps)
-                remaining.pop(k, None)
-            self.coset_reps.append(alpha)
-        if len(self.all) != len(self.inner) * len(self.coset_reps):
-            raise AutomorphismError("|Aut| != |Inn| * number of cosets")
+        self.reps = list(reps)
+        cols = np.arange(_prefix_width(parent), dtype=np.int64)
+        inner_prefix = _conjugations(parent, cs, cols)
+        prefix = np.concatenate([rep.images[inner_prefix] for rep in self.reps])
+        order = _lex_order(prefix)
+        self._prefix = prefix[order]
+        if np.any(np.all(self._prefix[1:] == self._prefix[:-1], axis=1)):
+            raise AutomorphismError("cosets of Inn(G) are not disjoint")
+        if not np.array_equal(self._prefix[0], cols):
+            raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
+        self._rep_of, c_pos = np.divmod(order, len(cs))
+        self._c_of = cs[c_pos]
+        # rows are light handles: each forms its images when they are read
+        self.all = [
+            _Row(parent, self.reps[r].images, c, tag(r, c))
+            for r, c in zip(self._rep_of.tolist(), self._c_of.tolist())
+        ]
+        first = np.sort(np.unique(self._rep_of, return_index=True)[1])
+        self.coset_reps = [self.all[j] for j in first.tolist()]
+        self._coset_rank = np.empty(len(self.reps), dtype=np.int64)
+        self._coset_rank[self._rep_of[first]] = np.arange(len(first))
+        self.inner = _inner_rows(parent, cs)
+
+    def parts(self, j: int) -> tuple[int, int]:
+        return int(self._rep_of[j]), int(self._c_of[j])
 
     def __len__(self):
         return len(self.all)
 
+    def index(self, alpha: Automorphism) -> int:
+        """Position of alpha in ``all``; KeyError if it is not there."""
+        prefix = self._prefix
+        key = tuple(alpha.prefix(prefix.shape[1]).tolist())
+        j = bisect.bisect_left(range(len(prefix)), key, key=lambda i: tuple(prefix[i].tolist()))
+        if alpha.parent is not self.parent or j == len(prefix) or tuple(prefix[j].tolist()) != key:
+            raise KeyError("not a member of this Aut(G)")
+        return j
+
     def coset_index(self, alpha: Automorphism) -> int:
-        return self._coset_of[alpha.key]
+        return int(self._coset_rank[self._rep_of[self.index(alpha)]])
 
     def __repr__(self):
         return (
@@ -184,13 +340,17 @@ class AutGroup:
         )
 
 
+def _inner_rows(G: GroupTable, cs: np.ndarray) -> list[Automorphism]:
+    ident = np.arange(G.n, dtype=np.int32)
+    prefix = _conjugations(G, cs, np.arange(_prefix_width(G)))
+    return [_Row(G, ident, int(cs[j]), f"inner({cs[j]})") for j in _lex_order(prefix)]
+
+
 def compute_inner(G: GroupTable) -> list[Automorphism]:
-    """Inn(G), one automorphism per distinct conjugation, sorted by images."""
-    seen: dict[bytes, Automorphism] = {}
-    for g in range(G.n):
-        a = inner_automorphism(G, g)
-        seen.setdefault(a.key, a)
-    return [seen[k] for k in sorted(seen)]
+    """Inn(G), one automorphism per distinct conjugation, sorted by images.
+    A conjugation is an automorphism by the group axioms, so none is
+    re-checked."""
+    return _inner_rows(G, _conjugators(G))
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +491,30 @@ def frobenius_field_aut(G: GroupTable, i: int) -> Automorphism:
     return Automorphism(G, frobenius_permutation(G, i), provenance=f"field({i})")
 
 
-def _psl2_structured_images(G: GroupTable) -> list[tuple[np.ndarray, str]]:
-    q = G.meta["q"]
-    F = field_for(q)
-    lookup = G.meta["code_lookup"]
-    na, nb, nc, nd = projective_class_codes(q, psl2_only=False)
+def _psl2_structured_images(G: GroupTable) -> list[tuple[np.ndarray, tuple[bool, int]]]:
+    """One automorphism per Inn(G)-coset of Aut(PSL2(q)) = PGL2(q) x| Gal:
+    conj_N o frob^i for i < f, N the identity or (q odd) diag(nu, 1) with
+    nu a non-square.  Returns each one's images and (N is diagonal, i)."""
+    F = field_for(G.meta["q"])
+    nmats = [(1, 0, 0, 1)]
+    nonsquares = np.nonzero(~F.square_mask)[0]
+    if len(nonsquares):
+        nmats.append((int(nonsquares[0]), 0, 0, 1))
     frobs = [frobenius_permutation(G, i) for i in range(F.f)]
-    out = []
-    for j in range(len(na)):
-        nmat = (int(na[j]), int(nb[j]), int(nc[j]), int(nd[j]))
-        conj = conjugation_permutation(G, nmat)
-        member = int(lookup[_pack(*(np.int64(x) for x in nmat), q)])
-        for i, fr in enumerate(frobs):
-            images = conj[fr]
-            if i == 0:
-                tag = f"inner({member})" if member >= 0 else "diagonal"
-            elif nmat == (1, 0, 0, 1):
-                tag = f"field({i})"
-            else:
-                tag = "composed"
-            out.append((images, tag))
-    return out
+    return [
+        (conjugation_permutation(G, nmat)[fr], (diagonal, i))
+        for diagonal, nmat in enumerate(nmats)
+        for i, fr in enumerate(frobs)
+    ]
+
+
+def _psl2_tag(diagonal: bool, i: int, c: int) -> str:
+    """Name of conj_N o frob^i o iota_c = conj_{N*frob^i(c)} o frob^i, as the
+    enumeration of PGL2(q) x Gal by (N', i) names it: inner(N') when i = 0
+    and N' is in PSL2, diagonal when i = 0 otherwise, field(i) when N' = 1."""
+    if i == 0:
+        return "diagonal" if diagonal else f"inner({c})"
+    return f"field({i})" if not diagonal and c == 0 else "composed"
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +544,27 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
     if strategy == "brute":
         if G.n > BRUTE_CAP:
             raise StrategyError(f"brute Aut search capped at order {BRUTE_CAP}, got {G.n}")
-        ident = np.arange(G.n, dtype=np.int32)
-        autos = [
-            Automorphism(G, row, provenance="inner(0)" if np.array_equal(row, ident) else "raw")
-            for row in _brute_aut_images(G)
-        ]
-        return AutGroup(G, autos)
+        images = _brute_aut_images(G)
+        images = images[_lex_order(images[:, : _prefix_width(G)])]
+        reps, _ = _coset_partition(G, images, _conjugators(G))
+        # the least automorphism, row 0, is the identity
+        autos = [Automorphism(G, images[r], "inner(0)" if r == 0 else "raw") for r in reps]
+        return AutGroup.from_reps(G, autos, lambda r, c: autos[r].provenance if c == 0 else "raw")
     if strategy == "psl2_structured":
         if G.kind != "PSL2":
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")
         G.require_table()
-        autos = [Automorphism(G, img, provenance=tag) for img, tag in _psl2_structured_images(G)]
-        return AutGroup(G, autos)
+        found = _psl2_structured_images(G)
+        autos = [Automorphism(G, img, _psl2_tag(*key, 0)) for img, key in found]
+        return AutGroup.from_reps(G, autos, lambda r, c: _psl2_tag(*found[r][1], c))
     if strategy == "product":
         return _product_aut(G)
     raise StrategyError(f"unknown Aut strategy {strategy!r}")
 
 
 def _product_aut(G: GroupTable) -> AutGroup:
+    """Aut(G1 x G2) = Aut(G1) x Aut(G2) for coprime orders, so pairs of coset
+    representatives represent its Inn(G) = Inn(G1) x Inn(G2) cosets."""
     if G.kind != "product":
         raise StrategyError("product strategy needs a direct product")
     G1, G2 = G.meta["factors"]
@@ -407,12 +573,15 @@ def _product_aut(G: GroupTable) -> AutGroup:
             "product Aut strategy requires coprime factor orders; "
             f"got {G1.n} and {G2.n}"
         )
-    A1 = compute_aut(G1)
-    A2 = compute_aut(G2)
     n2 = G2.n
-    autos = []
-    for a1 in A1.all:
-        for a2 in A2.all:
-            images = (a1.images.astype(np.int64)[:, None] * n2 + a2.images[None, :]).reshape(-1)
-            autos.append(Automorphism(G, images, provenance="composed"))
-    return AutGroup(G, autos)
+    reps1, reps2 = compute_aut(G1).reps, compute_aut(G2).reps
+    autos = [
+        Automorphism(
+            G,
+            (a1.images.astype(np.int64)[:, None] * n2 + a2.images[None, :]).reshape(-1),
+            "composed",
+        )
+        for a1 in reps1
+        for a2 in reps2
+    ]
+    return AutGroup.from_reps(G, autos, lambda r, c: "composed")

@@ -1,8 +1,9 @@
 """The built-in group catalog: desk-scale stand-ins for "every finite group".
 
 Solvable entries are controls; the nonsolvable entries are the exhaustive
-verification targets.  Elaborated tables and automorphism groups are cached
-per entry name so repeated commands and tests share the work.
+verification targets.  The extended entries, larger PSL2(q), are named only
+through an explicit scope.  Elaborated tables and automorphism groups are
+cached per entry name so repeated commands and tests share the work.
 """
 
 from __future__ import annotations
@@ -54,13 +55,15 @@ NONSOLVABLE_ENTRIES = [
 
 CATALOG = SOLVABLE_ENTRIES + NONSOLVABLE_ENTRIES
 
+EXTENDED_ENTRIES = [_entry(f"PSL2({q})", False) for q in (11, 13, 16, 17, 19)]
+
 
 def catalog_names() -> list[str]:
-    return [e.name for e in CATALOG]
+    return [e.name for e in CATALOG + EXTENDED_ENTRIES]
 
 
 def get_entry(name: str) -> CatalogEntry:
-    for e in CATALOG:
+    for e in CATALOG + EXTENDED_ENTRIES:
         if e.name == name:
             return e
     raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")

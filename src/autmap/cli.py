@@ -375,7 +375,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=None,
         metavar="NAME",
-        help=f"catalog names (default: all nonsolvable); known: {', '.join(catalog_names())}",
+        help="catalog names (default: all nonsolvable ones except the extended "
+        f"PSL2(q)); known: {', '.join(catalog_names())}",
     )
 
     p = sub.add_parser(

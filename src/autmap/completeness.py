@@ -3,8 +3,8 @@
 The map under test is g -> g^k * a(g) for an automorphism a; k = 1 is the
 complete-mapping case, k = -1 the orthomorphism/fixed-point-free case.  On a
 finite group injectivity already gives bijectivity, so every predicate is an
-injectivity scan over precomputed power vectors, with an occupancy array that
-exits on the first collision and captures it as a certificate.
+injectivity scan over power vectors; k-completeness scans a growing prefix
+of G and captures the first collision as a certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ class CompletenessVerdict:
     """Outcome of one (group, automorphism, k) check, with its certificate.
 
     On success the certificate is the full displacement image; on failure it
-    is a colliding pair (g, h) with g^k a(g) = h^k a(h).  Both are re-checked
+    is a colliding pair (g, h) with g^k a(g) = h^k a(h), and ``image`` is the
+    displacement over a prefix of G that contains both.  Both are re-checked
     at construction time.
     """
 
@@ -47,27 +48,43 @@ class CompletenessVerdict:
                 raise GroupBuildError("failure certificate does not collide")
 
 
-def displacement_image(alpha: Automorphism, k: int) -> np.ndarray:
-    """The vector g^k * a(g) over all g."""
+SCAN_PREFIX = 70  # the first collision of a failing row usually falls this early
+
+
+def displacement_image(alpha: Automorphism, k: int, count: int | None = None) -> np.ndarray:
+    """The vector g^k * a(g) over all g, or over the first ``count``."""
     G = alpha.parent
-    return np.asarray(G.mul_many(G.power_vec(k), alpha.images), dtype=np.int32)
+    return np.asarray(G.mul_many(G.power_vec(k, count), alpha.prefix(count)), dtype=np.int32)
 
 
 def _first_collision(image: np.ndarray) -> tuple[int, int] | None:
-    first = {}
-    for g, v in enumerate(image.tolist()):
-        if v in first:
-            return first[v], g
-        first[v] = g
-    return None
+    """(g, h) with image[g] = image[h], g < h and h least."""
+    order = image.argsort(kind="stable")
+    ranked = image[order]
+    repeats = (ranked[1:] == ranked[:-1]).nonzero()[0]
+    if not len(repeats):
+        return None
+    # equal values sit together in index order, so the least later member
+    # of an adjacent pair is some value's second occurrence
+    i = repeats[np.argmin(order[repeats + 1])]
+    return int(order[i]), int(order[i + 1])
 
 
 def is_k_complete(alpha: Automorphism, k: int) -> CompletenessVerdict:
-    """Is g -> g^k * a(g) bijective?  k may be negative (inverse powers)."""
-    image = displacement_image(alpha, k)
-    collision = None
-    if len(np.unique(image)) != len(image):
+    """Is g -> g^k * a(g) bijective?  k may be negative (inverse powers).
+
+    The first collision is sought on a prefix of SCAN_PREFIX elements, and
+    the prefix doubles until one is found or it covers the group, so the
+    certificate is the first collision of the full image either way.  On
+    failure ``image`` holds the scanned prefix, on success the full image."""
+    n = alpha.parent.n
+    width = min(SCAN_PREFIX, n)
+    while True:
+        image = displacement_image(alpha, k, width)
         collision = _first_collision(image)
+        if collision is not None or width == n:
+            break
+        width = min(2 * width, n)
     return CompletenessVerdict(
         group_name=alpha.parent.name,
         aut_provenance=alpha.provenance,

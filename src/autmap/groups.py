@@ -161,12 +161,7 @@ class GroupTable:
     def generators(self) -> tuple[int, ...]:
         """A generating set: repeatedly the least index outside the span of
         the generators taken so far."""
-        gens: list[int] = []
-        span = closure_mask(self, gens)
-        while not span.all():
-            gens.append(int(np.argmin(span)))
-            span = closure_mask(self, gens)
-        return tuple(gens)
+        return tuple(span_mask(self, range(self.n))[1])
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -181,12 +176,12 @@ class GroupTable:
                 x = self.mul(x, x)
         return r
 
-    def power_vec(self, k: int) -> np.ndarray:
-        """x^k for every element x, as one vector."""
-        n = self.n
+    def power_vec(self, k: int, count: int | None = None) -> np.ndarray:
+        """x^k for every element x, or for the first ``count``, as one vector."""
+        count = self.n if count is None else count
         if k == 0:
-            return np.zeros(n, dtype=np.int32)
-        cur = np.arange(n, dtype=np.int32) if k > 0 else self.inv.copy()
+            return np.zeros(count, dtype=np.int32)
+        cur = np.arange(count, dtype=np.int32) if k > 0 else self.inv[:count].copy()
         k = abs(k)
         result = None
         while k:
@@ -293,6 +288,19 @@ def closure_tree(G: GroupTable, gens):
 def closure_mask(G: GroupTable, gens) -> np.ndarray:
     """Membership mask of the subgroup generated by ``gens``."""
     return closure_tree(G, gens)[0]
+
+
+def span_mask(G: GroupTable, elements) -> tuple[np.ndarray, list[int]]:
+    """Membership mask of the subgroup generated by ``elements``, and the
+    generators it was closed over: in the given order, each element outside
+    the span of those taken before it."""
+    gens: list[int] = []
+    mask = closure_mask(G, gens)
+    for x in map(int, elements):
+        if not mask[x]:
+            gens.append(x)
+            mask = closure_mask(G, gens)
+    return mask, gens
 
 
 def is_homomorphism(G: GroupTable, H: GroupTable, images) -> bool:
@@ -431,6 +439,7 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     lookup[codes] = np.arange(len(perms), dtype=np.int32)
 
     def mul_many(a, b):
+        a, b = np.broadcast_arrays(a, b)
         comp = np.take_along_axis(arr[a], arr[b], axis=-1)  # (p*q)(t) = p(q(t))
         return lookup[comp.astype(np.int64) @ pows]
 

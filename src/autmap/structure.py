@@ -15,7 +15,7 @@ import numpy as np
 
 from .automorphisms import Automorphism
 from .errors import CapExceededError, GroupBuildError, InvarianceError
-from .groups import GroupTable, closure_mask, conjugacy_classes, is_homomorphism
+from .groups import GroupTable, conjugacy_classes, is_homomorphism, span_mask
 
 LATTICE_CAP = 1000
 
@@ -31,13 +31,10 @@ class Subgroup:
         mem = np.array(self.members, dtype=np.int64)
         if len(mem) == 0 or mem[0] != 0:
             raise GroupBuildError("subgroup must contain the identity (index 0)")
-        inside = np.zeros(self.parent.n, dtype=bool)
-        inside[mem] = True
-        prods = self.parent.mul_many(np.repeat(mem, len(mem)), np.tile(mem, len(mem)))
-        if not inside[prods].all():
+        # the span of the members equals them exactly when they are closed
+        # (inverses included: a finite closed set is a subgroup)
+        if not np.array_equal(span_mask(self.parent, mem)[0], self.member_mask()):
             raise GroupBuildError("member set is not closed under multiplication")
-        if not inside[self.parent.inv[mem]].all():
-            raise GroupBuildError("member set is not closed under inversion")
 
     def __len__(self):
         return len(self.members)
@@ -70,10 +67,9 @@ class Subgroup:
 
 
 def subgroup_closure(G: GroupTable, gens) -> Subgroup:
-    """The subgroup generated by ``gens``.  Needs the table, as Subgroup
-    re-checks closure over all member pairs."""
+    """The subgroup generated by ``gens``.  Needs the table."""
     G.require_table()
-    return Subgroup(G, tuple(int(x) for x in np.nonzero(closure_mask(G, gens))[0]))
+    return Subgroup(G, tuple(int(x) for x in np.nonzero(span_mask(G, gens)[0])[0]))
 
 
 def trivial_subgroup(G: GroupTable) -> Subgroup:
@@ -85,14 +81,16 @@ def full_subgroup(G: GroupTable) -> Subgroup:
 
 
 def derived_subgroup(G: GroupTable, H: Subgroup) -> Subgroup:
-    """Subgroup generated by the commutators of H."""
+    """Subgroup generated by the commutators of H: the normal closure in H
+    of the commutators of a generating set of H (modulo it, the generators
+    commute, so H modulo it is abelian)."""
     T = G.require_table()
     mem = np.array(H.members, dtype=np.int64)
-    inv = G.inv
-    x = np.repeat(mem, len(mem))
-    y = np.tile(mem, len(mem))
-    comm = T[T[inv[x], inv[y]], T[x, y]]
-    return subgroup_closure(G, np.unique(comm))
+    gens = np.array(span_mask(G, mem)[1], dtype=np.int64)
+    x, y = gens[:, None], gens[None, :]
+    comm = T[T[G.inv[x], G.inv[y]], T[x, y]].reshape(-1)
+    conj = T[T[mem[:, None], comm[None, :]], G.inv[mem][:, None]]
+    return subgroup_closure(G, np.unique(conj))
 
 
 def derived_series(G: GroupTable) -> list[Subgroup]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from autmap.automorphisms import (
+    AutGroup,
     Automorphism,
     compute_aut,
     compute_inner,
@@ -205,3 +206,51 @@ def test_every_aut_multiplicative_exhaustively():
     T = A.parent.require_table()
     for a in A.all[:20]:
         assert np.array_equal(a.images[T], T[np.ix_(a.images, a.images)])
+
+
+# ---------------------------------------------------------------------------
+# Aut(G) as coset representatives x Inn(G)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["A5", "PSL2(7)", "SL2(5)", "C3 x C3"])
+def test_autgroup_rebuilt_from_its_rows(text):
+    A = compute_aut(elaborate_text(text))
+    B = AutGroup(A.parent, A.all)
+    assert [a.key for a in B.all] == [a.key for a in A.all]
+    assert [a.provenance for a in B.all] == [a.provenance for a in A.all]
+    assert [a.key for a in B.coset_reps] == [a.key for a in A.coset_reps]
+    assert [a.key for a in B.inner] == [a.key for a in A.inner]
+
+
+def test_rows_are_sorted_and_formed_from_their_parts():
+    A = compute_aut(build_psl2(8))
+    keys = [a.key for a in A.all]
+    assert keys == sorted(keys) and len(set(keys)) == len(A)
+    G = A.parent
+    for j in (0, 1, 700, len(A) - 1):
+        r, c = A.parts(j)
+        row = A.all[j]
+        conj = [G.mul(G.mul(c, x), G.inverse(c)) for x in range(G.n)]
+        # single images and a prefix are read before the row is formed
+        assert [row(x) for x in range(5)] == A.reps[r].images[conj[:5]].tolist()
+        assert row.prefix(9).tolist() == A.reps[r].images[conj[:9]].tolist()
+        assert row.images.tolist() == A.reps[r].images[conj].tolist()
+        assert A.index(row) == j
+
+
+def test_autgroup_consistency_checks():
+    G = build_alternating(5)
+    A = compute_aut(G)
+    ident, outer = A.coset_reps
+    same_coset = next(a for a in A.all[1:] if A.coset_index(a) == 0)
+    with pytest.raises(AutomorphismError, match="disjoint"):
+        AutGroup.from_reps(G, [ident, same_coset, outer], lambda r, c: "raw")
+    with pytest.raises(AutomorphismError, match="Inn"):
+        AutGroup.from_reps(G, [outer], lambda r, c: "raw")
+    with pytest.raises(AutomorphismError, match="cosets"):
+        AutGroup(G, list(A.all)[:-1])
+    with pytest.raises(AutomorphismError, match="duplicate"):
+        AutGroup(G, list(A.all) + [A.all[3]])
+    with pytest.raises(KeyError):
+        A.coset_index(identity_automorphism(build_alternating(5)))

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from autmap.catalog import CATALOG, catalog_group, catalog_names, get_entry
+from autmap.catalog import (
+    CATALOG,
+    EXTENDED_ENTRIES,
+    NONSOLVABLE_ENTRIES,
+    catalog_group,
+    catalog_names,
+    get_entry,
+)
 from autmap.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT_ERROR,
@@ -14,6 +21,7 @@ from autmap.cli import (
     cmd_witness_wreath,
     main,
 )
+from autmap.groups import ORDER_CAP
 from autmap.reports import build_report, result_digest
 from autmap.structure import is_solvable
 
@@ -34,6 +42,26 @@ def test_catalog_lookup():
     with pytest.raises(KeyError):
         get_entry("M11")
     assert "PSL2(8)" in catalog_names()
+
+
+def test_extended_psl2_entries_only_by_scope():
+    names = [e.name for e in EXTENDED_ENTRIES]
+    assert names == ["PSL2(11)", "PSL2(13)", "PSL2(16)", "PSL2(17)", "PSL2(19)"]
+    assert not set(names) & {e.name for e in CATALOG}
+    assert all(get_entry(name).expr == name and not get_entry(name).solvable for name in names)
+    assert set(names) <= set(catalog_names())
+    results, _, _ = cmd_verify_theorem(None)
+    assert [g["group"] for g in results["groups"]] == [e.name for e in NONSOLVABLE_ENTRIES]
+
+
+def test_verify_theorem_extended_scope(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-theorem", "--scope", "PSL2(11)", "PSL2(13)", "--out", str(out)]) == EXIT_OK
+    groups = json.loads(out.read_text())["results"]["groups"]
+    assert [(g["group"], g["aut_size"], g["all_fail"]) for g in groups] == [
+        ("PSL2(11)", 1320, True),
+        ("PSL2(13)", 2184, True),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +181,37 @@ def test_pinned_report_digests():
     assert code == EXIT_OK
     assert result_digest(results, table) == (
         "a51d54473e516e01b30d04f1ef9231d72598630b1602c089cddcb8b55818679d"
+    )
+
+
+@pytest.mark.parametrize(
+    "expr, k_min, k_max, iterate, all_autos, digest",
+    [
+        # coset-rep order and provenance
+        ("A5", -12, 12, False, False,
+         "8c01c4ca5812c3d68a031d46eef2db9a4beb4e10878c3ac191133cedb21a0651"),
+        # all-rows order, brute strategy
+        ("S4", -4, 4, True, True,
+         "b6e253fe749124395f2c35d103de2e6063a9fd6ecc67e74db6e944356b1be7c7"),
+        # all-rows order and the structured provenance tags
+        ("PSL2(13)", 1, 1, False, True,
+         "2b9dfad95215695ecfdc006ab8cb46e2c4649ff13e43d2405f4fe047abe619be"),
+        ("PGL2(5)", -3, 3, False, True,
+         "63d6b5e9f737028251e69a4ee8d07c0cab6f69c86484e6002826e51fd6cd9acf"),
+    ],
+)
+def test_pinned_spectrum_digests(expr, k_min, k_max, iterate, all_autos, digest):
+    results, table, code = cmd_spectrum(expr, k_min, k_max, iterate, all_autos, ORDER_CAP)
+    assert code == EXIT_OK
+    assert result_digest(results, table) == digest
+
+
+def test_pinned_wreath_digest():
+    # aut.all[j] indexing: the seed picks automorphisms by position
+    results, table, code = cmd_witness_wreath("PSL2(7)", 3, seed=1, cap=ORDER_CAP)
+    assert code == EXIT_OK
+    assert result_digest(results, table) == (
+        "5f870385a9022e266dbf86bf790d6bca0e035c12a50c144add63c68c8a9a7e0b"
     )
 
 

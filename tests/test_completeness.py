@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from autmap.automorphisms import (
@@ -26,6 +27,7 @@ from autmap.groups import (
     Permutation,
     build_alternating,
     build_cyclic,
+    build_dihedral,
     build_symmetric,
     conjugacy_classes,
 )
@@ -228,3 +230,76 @@ def test_1_completeness_is_constant_on_inn_cosets():
             for i in A.inner[:10]
         }
         assert len(verdicts) == 1
+
+
+# ---------------------------------------------------------------------------
+# rows alpha o iota_c and the prefix scan
+# ---------------------------------------------------------------------------
+
+
+def _reference_first_collision(image):
+    """First (g, h), h least, with image[g] == image[h], by a full scan."""
+    first = {}
+    for h, v in enumerate(image):
+        if v in first:
+            return first[v], h
+        first[v] = h
+    return None
+
+
+@pytest.mark.parametrize("name", ["A6", "PSL2(8)", "SL2(7)"])
+def test_collisions_transport_along_inn_cosets(name):
+    # D_{alpha o iota_c}(c^-1 g) = c^-1 D_alpha(g) alpha(c)^-1, so a collision
+    # (g, h) of the representative alpha moves to (c^-1 g, c^-1 h)
+    from autmap.catalog import catalog_aut
+
+    aut = catalog_aut(name)
+    G = aut.parent
+    rep_verdicts = [is_k_complete(rep, 1) for rep in aut.reps]
+    for j, row in enumerate(aut.all):
+        r, c = aut.parts(j)
+        rep_v = rep_verdicts[r]
+        assert is_k_complete(row, 1).verdict == rep_v.verdict
+        g, h = (G.mul(G.inverse(c), x) for x in rep_v.collision)
+        assert G.mul(g, row(g)) == G.mul(h, row(h))
+
+
+def test_coset_constancy_fails_at_k2():
+    G = build_dihedral(5)
+    A = compute_aut(G, "brute")
+    verdicts = [is_k_complete(a, 2).verdict for a in A.all]
+    assert sum(verdicts) == 15 and len(verdicts) == 20
+    by_coset = {}
+    for a, v in zip(A.all, verdicts):
+        by_coset.setdefault(A.coset_index(a), set()).add(v)
+    assert any(len(vs) == 2 for vs in by_coset.values())
+
+
+def test_prefix_scan_matches_full_width_reference():
+    from autmap.catalog import CATALOG, catalog_aut
+
+    for entry in CATALOG:
+        aut = catalog_aut(entry.name)
+        G = aut.parent
+        T = G.require_table()
+        for alpha in aut.all:
+            image = T[np.arange(G.n), alpha.images].tolist()
+            expected = _reference_first_collision(image)
+            v = is_k_complete(alpha, 1)
+            assert v.collision == expected, entry.name
+            assert v.verdict == (expected is None)
+            if v.verdict:
+                assert v.image.tolist() == image
+
+
+def test_prefix_scan_widens_past_the_first_prefix():
+    v = is_k_complete(identity_automorphism(build_cyclic(150)), 1)
+    assert not v.verdict
+    assert v.collision == (0, 75)  # 2*75 = 0 in C150, beyond the first prefix
+
+
+def test_prefix_scan_certifies_a_complete_row_with_its_full_image():
+    G = build_cyclic(141)
+    v = is_k_complete(identity_automorphism(G), 1)
+    assert v.verdict
+    assert v.image.tolist() == [2 * g % 141 for g in range(141)]

@@ -298,6 +298,20 @@ def test_on_demand_multiplication():
         assert G.mul(G.mul(int(x), int(y)), G.inverse(int(y))) == int(x)
 
 
+def test_permutation_products_broadcast_a_scalar_operand():
+    # on demand (S7) the permutation product itself runs; on a materialized
+    # group (A5) the table answers, and the product function must agree
+    S7 = build_symmetric(7)
+    xs = np.arange(5)
+    assert S7.mul_many(xs, 3).tolist() == [S7.mul(int(x), 3) for x in xs]
+    assert S7.mul_many(3, xs).tolist() == [S7.mul(3, int(x)) for x in xs]
+    A5 = build_alternating(5)
+    T = A5.require_table()
+    assert np.array_equal(A5._mul_many_fn(np.arange(A5.n), 7), T[:, 7])
+    assert np.array_equal(A5._mul_many_fn(7, np.arange(A5.n)), T[7])
+    assert np.array_equal(A5.mul_many(np.arange(A5.n), 7), T[:, 7])
+
+
 def test_on_demand_direct_product():
     from autmap.parser import elaborate_text
 
