@@ -39,7 +39,7 @@ from .groups import (
     build_atomic,
     conjugacy_classes,
     direct_product,
-    element_order,
+    element_orders,
     sylow2_profile,
 )
 from .mappings import (

@@ -24,18 +24,21 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import AutomorphismError, CapExceededError, StrategyError
 from .fields import field_for
 from .groups import (
+    MATERIALIZE_CAP,
     GroupTable,
     _matrix_mul_codes,
     _pack,
+    center,
     closure_mask,
     closure_tree,
-    element_orders_vec,
+    element_orders,
     is_homomorphism,
 )
 
@@ -126,10 +129,7 @@ def identity_automorphism(G: GroupTable) -> Automorphism:
 
 def inner_automorphism(G: GroupTable, g: int) -> Automorphism:
     """Conjugation x -> g x g^-1."""
-    idx = np.arange(G.n, dtype=np.int64)
-    gx = G.mul_many(np.full(G.n, g, dtype=np.int64), idx)
-    images = G.mul_many(gx, np.full(G.n, G.inverse(g), dtype=np.int64))
-    return Automorphism(G, images, provenance=f"inner({g})")
+    return Automorphism(G, _conjugation(G, g), provenance=f"inner({g})")
 
 
 def fixed_points(alpha: Automorphism) -> list[int]:
@@ -190,11 +190,9 @@ def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
 def _conjugators(G: GroupTable) -> np.ndarray:
     """The least element of each coset of Z(G), ascending: conjugation by
     each gives every inner automorphism exactly once."""
-    gens = np.asarray(G.generators, dtype=np.int64)
     idx = np.arange(G.n, dtype=np.int64)
-    central = np.all(G.mul_many(idx[:, None], gens) == G.mul_many(gens, idx[:, None]), axis=1)
     least = idx
-    for z in np.nonzero(central)[0]:
+    for z in center(G):
         least = np.minimum(least, G.mul_many(idx, z))
     return np.unique(least)
 
@@ -224,19 +222,24 @@ def _row_ids(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
-def _coset_partition(G: GroupTable, images: np.ndarray, cs: np.ndarray):
-    """Split ``images`` (every automorphism of G, one per row, sorted by
-    image sequence) into Inn(G)-cosets, all at once.
+def _coset_partition(
+    G: GroupTable, images: np.ndarray, order: np.ndarray, cs: np.ndarray
+) -> np.ndarray:
+    """Split ``images`` (every automorphism of G, one per row, put in image
+    sequence order by ``order``) into Inn(G)-cosets, all at once, and return
+    the row of each coset's least member, least first.
 
     The coset of a row is its orbit under right composition with the
     conjugations by the generators, which generate Inn(G); each orbit is
-    labelled by its least row through min-propagation along those edges.
-    Returns the least row of each coset and ``members[r, j]``, the row of
-    coset r's least member composed with conjugation by cs[j]."""
+    labelled by its least row through min-propagation along those edges."""
     gens = np.asarray(G.generators, dtype=np.int64)
     cols = np.arange(_prefix_width(G), dtype=np.int64)
-    keys = images[:, cols]
-    edges = _row_ids(keys, images[:, _conjugations(G, gens, cols)].reshape(-1, len(cols)))
+    # the rows in sorted order, read only at the columns used here rather
+    # than copied whole
+    rows = order[:, None]
+    keys = images[rows, cols]
+    conj = _conjugations(G, gens, cols).reshape(-1)
+    edges = _row_ids(keys, images[rows, conj].reshape(-1, len(cols)))
     edges = edges.reshape(len(images), len(gens))
     label = np.arange(len(images))
     while True:
@@ -248,8 +251,7 @@ def _coset_partition(G: GroupTable, images: np.ndarray, cs: np.ndarray):
     reps = np.unique(label)
     if len(reps) * len(cs) != len(images):
         raise AutomorphismError("|Aut| != |Inn| * number of cosets")
-    members = _row_ids(keys, images[reps][:, _conjugations(G, cs, cols)].reshape(-1, len(cols)))
-    return reps, members.reshape(len(reps), len(cs))
+    return order[reps]
 
 
 class AutGroup:
@@ -262,9 +264,12 @@ class AutGroup:
     ``reps`` are the representatives the rows are formed from, and
     ``parts(j)`` names row j as (index into ``reps``, c).
 
-    Constructed from every automorphism of G (a list of Automorphism, such
-    as another AutGroup's ``all``), each row keeps its given provenance;
-    ``from_reps`` takes one representative per coset and a naming rule.
+    Constructed from every automorphism of G (anything with ``images`` and
+    ``provenance``, such as another AutGroup's ``all``), each row keeps its
+    given provenance; ``from_reps`` takes one map per coset and a naming
+    rule.  Either way the representatives are validated here, exactly, and
+    only they are: every other row is one of them composed with a
+    conjugation.
     """
 
     def __init__(self, parent: GroupTable, all_autos):
@@ -272,27 +277,23 @@ class AutGroup:
         autos = list(all_autos)
         images = np.stack([a.images for a in autos])
         order = _lex_order(images[:, : _prefix_width(parent)])
-        reps, members = _coset_partition(parent, images[order], cs)
-        provenance = [autos[i].provenance for i in order[members].reshape(-1)]
-        width = len(cs)
-        self._setup(
-            parent,
-            [autos[i] for i in order[reps]],
-            cs,
-            lambda r, c: provenance[r * width + int(np.searchsorted(cs, c))],
-        )
+        reps = _coset_partition(parent, images, order, cs)
+        # the rows come out in this same sorted order, so row j is autos[order[j]]
+        names = [autos[i].provenance for i in order]
+        self._setup(parent, [autos[i] for i in reps], cs, lambda j, r, c: names[j])
 
     @classmethod
-    def from_reps(cls, parent: GroupTable, reps: list[Automorphism], tag) -> "AutGroup":
-        """Aut(G) from one validated automorphism per Inn(G)-coset;
-        ``tag(r, c)`` names row reps[r] o iota_c."""
+    def from_reps(cls, parent: GroupTable, reps, tag) -> "AutGroup":
+        """Aut(G) from one automorphism per Inn(G)-coset (with ``images`` and
+        ``provenance``); ``tag(r, c)`` names row reps[r] o iota_c."""
         self = cls.__new__(cls)
-        self._setup(parent, reps, _conjugators(parent), tag)
+        self._setup(parent, reps, _conjugators(parent), lambda j, r, c: tag(r, c))
         return self
 
     def _setup(self, parent, reps, cs, tag):
+        """``tag(j, r, c)`` names row j, reps[r] o iota_c."""
         self.parent = parent
-        self.reps = list(reps)
+        self.reps = [Automorphism(parent, rep.images, rep.provenance) for rep in reps]
         cols = np.arange(_prefix_width(parent), dtype=np.int64)
         inner_prefix = _conjugations(parent, cs, cols)
         prefix = np.concatenate([rep.images[inner_prefix] for rep in self.reps])
@@ -306,14 +307,14 @@ class AutGroup:
         self._c_of = cs[c_pos]
         # rows are light handles: each forms its images when they are read
         self.all = [
-            _Row(parent, self.reps[r].images, c, tag(r, c))
-            for r, c in zip(self._rep_of.tolist(), self._c_of.tolist())
+            _Row(parent, self.reps[r].images, c, tag(j, r, c))
+            for j, (r, c) in enumerate(zip(self._rep_of.tolist(), self._c_of.tolist()))
         ]
         first = np.sort(np.unique(self._rep_of, return_index=True)[1])
         self.coset_reps = [self.all[j] for j in first.tolist()]
         self._coset_rank = np.empty(len(self.reps), dtype=np.int64)
         self._coset_rank[self._rep_of[first]] = np.arange(len(first))
-        self.inner = _inner_rows(parent, cs)
+        self.inner = compute_inner(parent)
 
     def parts(self, j: int) -> tuple[int, int]:
         return int(self._rep_of[j]), int(self._c_of[j])
@@ -340,17 +341,14 @@ class AutGroup:
         )
 
 
-def _inner_rows(G: GroupTable, cs: np.ndarray) -> list[Automorphism]:
-    ident = np.arange(G.n, dtype=np.int32)
-    prefix = _conjugations(G, cs, np.arange(_prefix_width(G)))
-    return [_Row(G, ident, int(cs[j]), f"inner({cs[j]})") for j in _lex_order(prefix)]
-
-
 def compute_inner(G: GroupTable) -> list[Automorphism]:
     """Inn(G), one automorphism per distinct conjugation, sorted by images.
     A conjugation is an automorphism by the group axioms, so none is
     re-checked."""
-    return _inner_rows(G, _conjugators(G))
+    cs = _conjugators(G)
+    ident = np.arange(G.n, dtype=np.int32)
+    prefix = _conjugations(G, cs, np.arange(_prefix_width(G)))
+    return [_Row(G, ident, int(cs[j]), f"inner({cs[j]})") for j in _lex_order(prefix)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +416,7 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
     gens = greedy_generators(G)
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
-    orders = element_orders_vec(G)
+    orders = element_orders(G)
     cent = (T == T.T).sum(axis=1)
     cand_lists = [
         np.nonzero((orders == orders[g]) & (cent == cent[g]))[0].astype(np.int64)
@@ -426,6 +424,12 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
     ]
     tuples = np.empty((1, 0), dtype=np.int64)
     for j, cands in enumerate(cand_lists):
+        # no larger than the largest table the package holds
+        if len(tuples) * len(cands) * G.n > MATERIALIZE_CAP**2:
+            raise CapExceededError(
+                f"{G.name}: the brute Aut search would expand {len(tuples)} x {len(cands)} "
+                f"candidate images, over {MATERIALIZE_CAP}^2 cells"
+            )
         expanded = np.repeat(tuples, len(cands), axis=0)
         col = np.tile(cands, len(tuples))[:, None]
         mask, members, tree = closure_tree(G, gens[: j + 1])
@@ -440,11 +444,6 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structured Aut(PSL2(q))
 # ---------------------------------------------------------------------------
-
-
-def _frobenius_code_map(q: int) -> np.ndarray:
-    F = field_for(q)
-    return np.array([F._pow_code(c, F.p) for c in range(q)], dtype=np.int64)
 
 
 def _psl2_index_map(G: GroupTable, codes) -> np.ndarray:
@@ -462,10 +461,7 @@ def frobenius_permutation(G: GroupTable, i: int) -> np.ndarray:
     F = field_for(q)
     if not 0 <= i < F.f:
         raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
-    fr = np.arange(q, dtype=np.int64)
-    step = _frobenius_code_map(q)
-    for _ in range(i):
-        fr = step[fr]
+    fr = np.array([F._pow_code(x, F.p**i) for x in range(q)], dtype=np.int64)
     A, B, C, D = G.meta["codes"]
     return _psl2_index_map(G, (fr[A], fr[B], fr[C], fr[D]))
 
@@ -545,17 +541,18 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
         if G.n > BRUTE_CAP:
             raise StrategyError(f"brute Aut search capped at order {BRUTE_CAP}, got {G.n}")
         images = _brute_aut_images(G)
-        images = images[_lex_order(images[:, : _prefix_width(G)])]
-        reps, _ = _coset_partition(G, images, _conjugators(G))
-        # the least automorphism, row 0, is the identity
-        autos = [Automorphism(G, images[r], "inner(0)" if r == 0 else "raw") for r in reps]
-        return AutGroup.from_reps(G, autos, lambda r, c: autos[r].provenance if c == 0 else "raw")
+        ident = (images == np.arange(G.n)).all(axis=1)
+        return AutGroup(
+            G,
+            [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
+             for img, i in zip(images, ident)],
+        )
     if strategy == "psl2_structured":
         if G.kind != "PSL2":
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")
         G.require_table()
         found = _psl2_structured_images(G)
-        autos = [Automorphism(G, img, _psl2_tag(*key, 0)) for img, key in found]
+        autos = [SimpleNamespace(images=img, provenance=_psl2_tag(*key, 0)) for img, key in found]
         return AutGroup.from_reps(G, autos, lambda r, c: _psl2_tag(*found[r][1], c))
     if strategy == "product":
         return _product_aut(G)
@@ -576,10 +573,9 @@ def _product_aut(G: GroupTable) -> AutGroup:
     n2 = G2.n
     reps1, reps2 = compute_aut(G1).reps, compute_aut(G2).reps
     autos = [
-        Automorphism(
-            G,
-            (a1.images.astype(np.int64)[:, None] * n2 + a2.images[None, :]).reshape(-1),
-            "composed",
+        SimpleNamespace(
+            images=(a1.images.astype(np.int64)[:, None] * n2 + a2.images).reshape(-1),
+            provenance="composed",
         )
         for a1 in reps1
         for a2 in reps2

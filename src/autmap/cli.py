@@ -94,36 +94,12 @@ def cmd_verify_theorem(scope: list[str] | None) -> tuple[dict, list[dict], int]:
         solvable = is_solvable(G)
         if solvable != entry.solvable:
             raise TheoremViolationError(f"catalog solvability label is wrong for {name}")
-        if solvable:
-            ident = identity_automorphism(G)
-            v = is_k_complete(ident, 1)
-            _reverify_verdict(G, ident, v)
-            result = {
-                "group": name,
-                "order": G.n,
-                "solvable": True,
-                "control_identity_1_complete": v.verdict,
-                "odd_order": G.n % 2 == 1,
-            }
-            rows = [
-                {
-                    "group": name,
-                    "aut_index": 0,
-                    "provenance": ident.provenance,
-                    "k": 1,
-                    "verdict": v.verdict,
-                    "certificate": _certificate_text(v),
-                }
-            ]
-            return result, rows
-        aut = catalog_aut(name)
+        # a solvable group is a control: its identity automorphism is the only row
+        autos = [identity_automorphism(G)] if solvable else catalog_aut(name).all
         rows = []
-        complete_count = 0
-        for idx, alpha in enumerate(aut.all):
+        for idx, alpha in enumerate(autos):
             v = is_k_complete(alpha, 1)
             _reverify_verdict(G, alpha, v)
-            if v.verdict:
-                complete_count += 1
             rows.append(
                 {
                     "group": name,
@@ -134,15 +110,16 @@ def cmd_verify_theorem(scope: list[str] | None) -> tuple[dict, list[dict], int]:
                     "certificate": _certificate_text(v),
                 }
             )
-        result = {
-            "group": name,
-            "order": G.n,
-            "solvable": False,
-            "aut_size": len(aut),
-            "inner_size": len(aut.inner),
-            "one_complete_found": complete_count,
-            "all_fail": complete_count == 0,
-        }
+        result = {"group": name, "order": G.n, "solvable": solvable}
+        if solvable:
+            result["control_identity_1_complete"] = rows[0]["verdict"]
+            result["odd_order"] = G.n % 2 == 1
+        else:
+            complete_count = sum(row["verdict"] for row in rows)
+            result["aut_size"] = len(autos)
+            result["inner_size"] = len(catalog_aut(name).inner)
+            result["one_complete_found"] = complete_count
+            result["all_fail"] = complete_count == 0
         return result, rows
 
     pairs = [one_group(name) for name in names]

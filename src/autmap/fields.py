@@ -140,7 +140,7 @@ class FieldParams:
     Immutable after construction; instances are shared freely.
     """
 
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, f: int):
         if not is_prime(p):
             raise GroupBuildError(f"characteristic {p} is not prime")
         if f < 1:
@@ -148,18 +148,10 @@ class FieldParams:
         q = p**f
         if q > MAX_FIELD_SIZE:
             raise GroupBuildError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
-        if modulus is None:
-            modulus = default_modulus(p, f)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != f + 1 or modulus[-1] != 1:
-                raise GroupBuildError("modulus must be monic of degree f")
-            if not _is_irreducible(modulus, p):
-                raise GroupBuildError("modulus is not irreducible")
         self.p = p
         self.f = f
         self.q = q
-        self.modulus = modulus
+        self.modulus = default_modulus(p, f)
         self._build_tables()
 
     def _build_tables(self):
@@ -228,9 +220,6 @@ class FieldParams:
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         nb = int(self.neg_table[self.to_code(b)])
         return self.from_code(int(self.add_table[self.to_code(a), nb]))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return self.from_code(int(self.neg_table[self.to_code(a)]))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.from_code(int(self.mul_table[self.to_code(a), self.to_code(b)]))

@@ -21,11 +21,13 @@ Conventions shared by the whole package:
     exactly.
 
 Every constructed table is self-checked: two-sided identity and inverses,
-associativity, and the Latin-square property of materialized tables.
-Associativity is exact on every materialized table: (xy)s = x(ys) for all x,
-y and every generator s extends to every z = w*s by induction on word length,
-(xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) = x(y(ws)) (Light's test).  Groups
-multiplied on demand are checked on 10^5 seeded random triples instead.
+and associativity.  Associativity is exact on every materialized table:
+(xy)s = x(ys) for all x, y and every generator s extends to every z = w*s by
+induction on word length, (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) =
+x(y(ws)) (Light's test).  Together the three make the table a group's, and
+a group's table is a Latin square, so that needs no check of its own.
+Groups multiplied on demand are checked on 10^5 seeded random triples
+instead.
 """
 
 from __future__ import annotations
@@ -243,15 +245,6 @@ def _verify_group(gt: GroupTable):
             gt.mul_many(gt.mul_many(x, y), z), gt.mul_many(x, gt.mul_many(y, z))
         ):
             raise GroupBuildError(f"{gt.name}: multiplication is not associative")
-    if T is not None:
-        for rows in _row_blocks(n):
-            r = np.arange(rows.stop - rows.start)
-            in_rows = np.zeros((len(r), n), dtype=bool)
-            in_rows[r[:, None], T[rows]] = True
-            in_cols = np.zeros((n, len(r)), dtype=bool)
-            in_cols[T[:, rows], r[None, :]] = True
-            if not (in_rows.all() and in_cols.all()):
-                raise GroupBuildError(f"{gt.name}: table is not a Latin square")
 
 
 def closure_tree(G: GroupTable, gens):
@@ -317,17 +310,12 @@ def is_homomorphism(G: GroupTable, H: GroupTable, images) -> bool:
     return True
 
 
-def _check_order_cap(name: str, order: int):
+def _check_order_cap(name: str, order: int) -> int:
+    """``order``, unless it exceeds the cap."""
     if order > ORDER_CAP:
         raise CapExceededError(
             f"{name}: predicted order {order} exceeds cap {ORDER_CAP}", predicted=order
         )
-
-
-def _checked_order(kind: str, param: int | None, name: str) -> int:
-    """The atomic order from ``predicted_atomic_order``, within the cap."""
-    order = predicted_atomic_order(kind, param)
-    _check_order_cap(name, order)
     return order
 
 
@@ -337,7 +325,7 @@ def _checked_order(kind: str, param: int | None, name: str) -> int:
 
 
 def build_cyclic(n: int) -> GroupTable:
-    _checked_order("C", n, f"C{n}")
+    _check_order_cap(f"C{n}", predicted_atomic_order("C", n))
     reps = list(range(n))
 
     def mul_many(a, b):
@@ -357,7 +345,7 @@ def build_cyclic(n: int) -> GroupTable:
 
 def build_dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^k and reflections r^k s."""
-    _checked_order("D", n, f"D{n}")
+    _check_order_cap(f"D{n}", predicted_atomic_order("D", n))
     reps = [(r, s) for r in range(n) for s in range(2)]  # index = 2r + s
 
     def mul_many(a, b):
@@ -427,7 +415,7 @@ def build_quaternion8() -> GroupTable:
 def _build_perm_group(kind: str, m: int) -> GroupTable:
     letter = "S" if kind == "symmetric" else "A"
     name = f"{letter}{m}"
-    _checked_order(letter, m, name)
+    _check_order_cap(name, predicted_atomic_order(letter, m))
     perms = [
         p for p in itertools.permutations(range(m)) if kind == "symmetric" or perm_parity(p) == 0
     ]
@@ -467,15 +455,6 @@ def build_alternating(m: int) -> GroupTable:
 # -- 2x2 matrix groups over GF(q) -------------------------------------------
 
 
-def _all_matrix_codes(q: int):
-    codes = np.arange(q**4, dtype=np.int64)
-    d = codes % q
-    c = (codes // q) % q
-    b = (codes // q**2) % q
-    a = codes // q**3
-    return a, b, c, d
-
-
 def _pack(a, b, c, d, q):
     return ((a * q + b) * q + c) * q + d
 
@@ -505,57 +484,38 @@ def _matrix_mul_codes(F: FieldParams):
     return mul
 
 
-def projective_class_codes(q: int, psl2_only: bool) -> tuple[np.ndarray, ...]:
-    """Canonical PGL2 (or PSL2) class representatives as four code arrays,
-    sorted by ascending packed code."""
-    F = field_for(q)
-    MUL = F.mul_table.astype(np.int64)
-    ADD = F.add_table.astype(np.int64)
-    NEG = F.neg_table.astype(np.int64)
-    a, b, c, d = _all_matrix_codes(q)
+def _matrix_codes(kind: str, F: FieldParams) -> tuple[np.ndarray, ...]:
+    """Entry codes (A, B, C, D) of every element, identity first and the rest
+    by ascending packed code: of all 2x2 matrices, SL2 keeps determinant 1,
+    the projective kinds each class's canonical representative (PSL2 those
+    of square determinant)."""
+    q = F.q
+    MUL, ADD, NEG = (t.astype(np.int64) for t in (F.mul_table, F.add_table, F.neg_table))
+    codes = np.arange(q**4, dtype=np.int64)
+    a, b, c, d = codes // q**3, codes // q**2 % q, codes // q % q, codes % q
     det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-    keep = det != 0
-    a, b, c, d = (x[keep] for x in (a, b, c, d))
-    a, b, c, d = _canonicalize_codes(a, b, c, d, F)
-    if psl2_only:
-        det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-        keep = F.square_mask[det]
-        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    packed = np.unique(_pack(a, b, c, d, q))
-    d = packed % q
-    c = (packed // q) % q
-    b = (packed // q**2) % q
-    a = packed // q**3
-    return a, b, c, d
+    if kind == "SL2":
+        keep = det == 1
+    else:
+        keep = (det != 0) & (_pack(*_canonicalize_codes(a, b, c, d, F), q) == codes)
+        if kind == "PSL2":
+            keep &= F.square_mask[det]
+    id_code = _pack(1, 0, 0, 1, q)
+    kept = codes[keep]
+    kept = np.concatenate(([id_code], kept[kept != id_code]))
+    return a[kept], b[kept], c[kept], d[kept]
 
 
 def _matrix_group(kind: str, q: int) -> GroupTable:
     name = f"{kind}({q})"
-    order = _checked_order(kind, q, name)
+    order = _check_order_cap(name, predicted_atomic_order(kind, q))
     F = field_for(q)
     MUL = F.mul_table.astype(np.int64)
-    ADD = F.add_table.astype(np.int64)
     NEG = F.neg_table.astype(np.int64)
-    if kind == "SL2":
-        a, b, c, d = _all_matrix_codes(q)
-        det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-        keep = det == 1
-        a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-        packed = _pack(a, b, c, d, q)
-        order_idx = np.argsort(packed, kind="stable")
-    else:
-        a, b, c, d = projective_class_codes(q, psl2_only=kind == "PSL2")
-        order_idx = np.arange(len(a))
-    # identity first, remaining elements by ascending packed code
-    id_code = _pack(np.int64(1), np.int64(0), np.int64(0), np.int64(1), q)
-    packed_sorted = _pack(a, b, c, d, q)[order_idx]
-    id_pos = int(np.nonzero(packed_sorted == id_code)[0][0])
-    perm = np.concatenate(([id_pos], np.delete(np.arange(len(order_idx)), id_pos)))
-    order_idx = order_idx[perm]
-    A, B, C, D = (np.ascontiguousarray(x[order_idx]) for x in (a, b, c, d))
+    projective = kind != "SL2"
+    A, B, C, D = _matrix_codes(kind, F)
     if len(A) != order:
         raise GroupBuildError(f"{name}: enumerated {len(A)} elements, expected {order}")
-    projective = kind != "SL2"
 
     # code_lookup maps the packed code of every matrix that stands for an
     # element to that element's index (-1 elsewhere): for the projective
@@ -673,14 +633,6 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     reps = [(G.reps[i], H.reps[j]) for i in range(n1) for j in range(n2)]
     labels = [f"({G.labels[i]},{H.labels[j]})" for i in range(n1) for j in range(n2)]
 
-    table = None
-    if n1 * n2 <= MATERIALIZE_CAP:
-        T1 = G.require_table().astype(np.int64)
-        T2 = H.require_table().astype(np.int64)
-        table = (T1[:, None, :, None] * n2 + T2[None, :, None, :]).reshape(
-            n1 * n2, n1 * n2
-        ).astype(np.int32)
-
     def mul_many(x, y):
         x1, x2 = x // n2, x % n2
         y1, y2 = y // n2, y % n2
@@ -697,7 +649,6 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
         mul_many_fn=mul_many,
         inv=inv,
         meta={"factors": (G, H)},
-        table=table,
     )
 
 
@@ -706,28 +657,17 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
 # ---------------------------------------------------------------------------
 
 
-def element_order(G: GroupTable, x: int) -> int:
-    """Least k >= 1 with x^k = identity; always divides |G|."""
-    k = 1
-    y = x
-    while y != 0:
-        y = G.mul(y, x)
-        k += 1
-    if G.n % k != 0:
-        raise RuntimeError(f"order {k} of element {x} does not divide {G.n}")
-    return k
-
-
-def element_orders_vec(G: GroupTable) -> np.ndarray:
-    """Orders of all elements at once, via the divisors of |G|."""
+def element_orders(G: GroupTable) -> np.ndarray:
+    """The order of every element: the least divisor d of |G| with x^d the
+    identity.  Raises if some element has none (Lagrange's theorem fails)."""
     n = G.n
     orders = np.zeros(n, dtype=np.int64)
-    for d in sorted(k for k in range(1, n + 1) if n % k == 0):
+    for d in (k for k in range(1, n + 1) if n % k == 0):
         hits = (G.power_vec(d) == 0) & (orders == 0)
         orders[hits] = d
         if orders.all():
-            break
-    return orders
+            return orders
+    raise RuntimeError(f"{G.name}: some element order does not divide {n}")
 
 
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
@@ -746,8 +686,10 @@ def conjugacy_classes(G: GroupTable) -> list[list[int]]:
 
 
 def center(G: GroupTable) -> list[int]:
-    T = G.require_table()
-    return [int(i) for i in np.nonzero(np.all(T == T.T, axis=1))[0]]
+    """The elements that commute with every generator."""
+    gens = np.asarray(G.generators, dtype=np.int64)
+    idx = np.arange(G.n, dtype=np.int64)[:, None]
+    return np.nonzero(np.all(G.mul_many(idx, gens) == G.mul_many(gens, idx), axis=1))[0].tolist()
 
 
 def sylow2_profile(G: GroupTable) -> tuple[int, bool]:

@@ -54,9 +54,7 @@ class Subgroup:
 
     def is_characteristic(self, automorphisms) -> bool:
         """Invariance under every supplied automorphism."""
-        mask = self.member_mask()
-        mem = list(self.members)
-        return all(mask[a.images[mem]].all() for a in automorphisms)
+        return all(self.is_invariant_under(a) for a in automorphisms)
 
     def is_invariant_under(self, alpha: Automorphism) -> bool:
         mask = self.member_mask()
@@ -67,8 +65,7 @@ class Subgroup:
 
 
 def subgroup_closure(G: GroupTable, gens) -> Subgroup:
-    """The subgroup generated by ``gens``.  Needs the table."""
-    G.require_table()
+    """The subgroup generated by ``gens``."""
     return Subgroup(G, tuple(int(x) for x in np.nonzero(span_mask(G, gens)[0])[0]))
 
 
@@ -214,12 +211,10 @@ def subgroup_table(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     """(N as its own GroupTable, member list): element i of the new table is
     members[i] in G; the identity stays at index 0."""
     mem = np.array(N.members, dtype=np.int64)
-    local = {int(x): i for i, x in enumerate(mem)}
-    prods = G.mul_many(np.repeat(mem, len(mem)), np.tile(mem, len(mem)))
-    table = np.array([local[int(v)] for v in prods], dtype=np.int32).reshape(
-        len(mem), len(mem)
-    )
-    inv = np.array([local[int(G.inv[x])] for x in mem], dtype=np.int32)
+    local = np.full(G.n, -1, dtype=np.int32)  # local[mem[i]] = i
+    local[mem] = np.arange(len(mem), dtype=np.int32)
+    table = local[G.mul_many(mem[:, None], mem[None, :])]
+    inv = local[G.inv[mem]]
     sub = GroupTable(
         kind="subgroup",
         name=f"{G.name}|{len(N)}",
@@ -227,7 +222,7 @@ def subgroup_table(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
         labels=[G.labels[int(x)] for x in mem],
         mul_many_fn=lambda a, b: table[a, b],
         inv=inv,
-        meta={"parent": G, "subgroup": N},
+        meta={"parent": G, "subgroup": N, "local": local},
         table=table,
     )
     return sub, mem
@@ -255,7 +250,6 @@ def transport_aut(
         return Automorphism(quot, images, provenance=f"induced:{alpha.provenance}")
     if mode == "restrict":
         sub, mem = target if target is not None else subgroup_table(G, N)
-        local = {int(x): i for i, x in enumerate(mem)}
-        images = np.array([local[int(alpha.images[x])] for x in mem], dtype=np.int32)
+        images = sub.meta["local"][alpha.images[mem]]
         return Automorphism(sub, images, provenance=f"restricted:{alpha.provenance}")
     raise ValueError(f"unknown transport mode {mode!r}")

@@ -36,21 +36,17 @@ from .automorphisms import (
 )
 from .errors import GroupBuildError, TheoremViolationError
 from .fields import field_for
-from .groups import (
-    GroupTable,
-    _matrix_mul_codes,
-    _pack,
-    build_psl2,
-    element_order,
-)
-from .structure import normal_subgroups
+from .groups import GroupTable, _matrix_mul_codes, _pack, build_psl2, conjugacy_classes
+from .structure import subgroup_closure
 
 WITNESS_MAX_COPIES = 6
 
 
 def _is_nonabelian_simple(S: GroupTable) -> bool:
-    T = S.require_table()
-    return not np.array_equal(T, T.T) and len(normal_subgroups(S)) == 2
+    """Fewer conjugacy classes than elements (nonabelian), and each
+    nontrivial class's normal closure, the subgroup it generates, is S."""
+    classes = conjugacy_classes(S)
+    return len(classes) < S.n and all(len(subgroup_closure(S, c)) == S.n for c in classes[1:])
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
         rep = Automorphism(G, conj[frobenius_permutation(G, i)], provenance="composed")
         elem = _psl2_element_index(G, (0, 1, F.to_code(F.scalar(-1)), 0))
 
-    if element_order(G, elem) != 2:
+    if elem == 0 or G.mul(elem, elem) != 0:
         raise TheoremViolationError("witness element does not have order 2")
     verified = elem != 0 and int(rep.images[elem]) == int(G.inv[elem])
     return Psl2Witness(

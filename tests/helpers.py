@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from autmap.groups import GroupTable, element_order
+from autmap.groups import GroupTable
+
+
+def element_order(G: GroupTable, x: int) -> int:
+    """Least k >= 1 with x^k the identity, by repeated multiplication."""
+    k, y = 1, x
+    while y != 0:
+        y = G.mul(y, x)
+        k += 1
+    return k
 
 
 def closure(G: GroupTable, gens: list[int]) -> set[int]:

@@ -270,6 +270,17 @@ def test_main_uncovered_aut_strategy_exits_cap_exceeded():
     assert main(["spectrum", "--group", group, "--k-min", "1", "--k-max", "1"]) == EXIT_CAP_EXCEEDED
 
 
+def test_brute_aut_search_expansion_is_capped():
+    # 64 elements, but 234,360 surviving tuples times 63 candidates at the
+    # fourth generator: refused before the expansion is allocated
+    import time
+
+    group = " x ".join(["C2"] * 6)
+    start = time.perf_counter()
+    assert main(["spectrum", "--group", group, "--k-min", "1", "--k-max", "1"]) == EXIT_CAP_EXCEEDED
+    assert time.perf_counter() - start < 10
+
+
 def test_main_witness_subcommands(tmp_path):
     assert main(["witness", "psl2", "--q", "5", "--i", "0", "--out",
                  str(tmp_path / "w1.json")]) == EXIT_OK

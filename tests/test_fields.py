@@ -31,8 +31,7 @@ def test_default_moduli_are_the_classical_ones():
 def test_size_cap_and_bad_modulus():
     with pytest.raises(GroupBuildError):
         FieldParams(2, 6)  # 64 > 32
-    with pytest.raises(GroupBuildError):
-        FieldParams(2, 2, modulus=(0, 0, 1))  # t^2 is reducible
+    assert FieldParams(2, 2).modulus == default_modulus(2, 2)  # the only modulus
     with pytest.raises(GroupBuildError):
         FieldParams(4, 1)  # 4 not prime
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from autmap.groups import (
     closure_tree,
     conjugacy_classes,
     direct_product,
-    element_order,
+    element_orders,
     sylow2_profile,
 )
-from helpers import closure, find_isomorphism
+from helpers import closure, element_order, find_isomorphism
 
 # ---------------------------------------------------------------------------
 # orders of the atomic constructors
@@ -91,8 +92,9 @@ def test_a5_x_a5_componentwise_orders():
     A5 = build_alternating(5)
     P = direct_product(A5, A5)
     assert P.n == 3600
+    orders, a5_orders = element_orders(P), element_orders(A5)
     for g in (0, 1, 7, 30, 59):
-        assert element_order(P, g * 60) == element_order(A5, g)
+        assert orders[g * 60] == a5_orders[g]
 
 
 def test_product_cap():
@@ -108,9 +110,9 @@ def test_product_cap():
 
 def test_element_order_examples():
     S4 = build_symmetric(4)
-    assert element_order(S4, 0) == 1
+    assert element_orders(S4)[0] == 1
     four_cycle = S4.reps.index(Permutation((1, 2, 3, 0)))  # (1 2 3 4)
-    assert element_order(S4, four_cycle) == 4
+    assert element_orders(S4)[four_cycle] == 4
 
     PGL = build_pgl2(5)
     F = field_for(5)
@@ -121,13 +123,28 @@ def test_element_order_examples():
             # canonical form scales diag(-1,1) by -1 to diag(1,-1)
             target = i
     assert target is not None
-    assert element_order(PGL, target) == 2
+    assert element_orders(PGL)[target] == 2
 
 
 def test_all_element_orders_divide_group_order():
     for G in (build_dihedral(6), build_quaternion8(), build_psl2(5)):
+        orders = element_orders(G)
         for x in range(G.n):
-            assert G.n % element_order(G, x) == 0
+            assert G.n % orders[x] == 0
+
+
+def test_element_orders_match_repeated_multiplication():
+    for G in (build_symmetric(4), build_quaternion8(), build_psl2(7), build_sl2(5)):
+        assert element_orders(G).tolist() == [element_order(G, x) for x in range(G.n)]
+
+
+def test_element_orders_refuse_an_order_that_does_not_divide():
+    # a stand-in whose element 1 never powers to the identity
+    fake = types.SimpleNamespace(
+        name="fake", n=4, power_vec=lambda d: np.array([0, 1, 0, 0]) if d else np.zeros(4)
+    )
+    with pytest.raises(RuntimeError, match="does not divide"):
+        element_orders(fake)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +339,7 @@ def test_on_demand_direct_product():
     for i, j in ((3, 7), (100, 24), (167, 0)):
         x = i * 25 + j
         assert G.inverse(x) == H.inverse(i) * 25 + (25 - j) % 25
-        assert element_order(G, x) % element_order(H, i) == 0
+        assert element_orders(G)[x] % element_orders(H)[i] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +389,8 @@ def test_construction_rejects_nonassociative_loop():
     from autmap.groups import GroupTable
 
     # a Latin square with identity 0 and every element its own inverse: it
-    # passes the identity, inverse and Latin checks, so only the
-    # associativity check can refuse it
+    # passes the identity and inverse checks, so only the associativity
+    # check can refuse it
     table = np.array(
         [[int(c) for c in row] for row in ("01234", "10342", "24013", "32401", "43120")],
         dtype=np.int32,
@@ -406,6 +423,79 @@ def test_construction_rejects_swapped_table_entries():
             inv=G.inv,
             table=table,
         )
+
+
+def _table_group(G, table, name):
+    from autmap.groups import GroupTable
+
+    return GroupTable(
+        kind=G.kind,
+        name=name,
+        reps=G.reps,
+        labels=G.labels,
+        mul_many_fn=lambda a, b: table[a, b],
+        inv=G.inv,
+        table=table,
+    )
+
+
+@pytest.mark.parametrize("text", ["S3", "Q8", "C2 x C2"])
+def test_construction_rejects_every_non_latin_neighbour(text):
+    # identity, inverses and exact associativity are the whole self-check;
+    # each table below breaks the Latin property, so it is no group's table,
+    # and those checks alone must refuse it
+    from autmap.parser import elaborate_text
+
+    G = elaborate_text(text)
+    T = G.require_table()
+    n = G.n
+    for x in range(n):
+        for y in range(n):
+            for v in range(n):
+                if v != T[x, y]:
+                    table = T.copy()
+                    table[x, y] = v
+                    with pytest.raises(GroupBuildError):
+                        _table_group(G, table, "one entry changed")
+        for y in range(n):
+            for z in range(y + 1, n):
+                table = T.copy()
+                table[x, [y, z]] = T[x, [z, y]]
+                with pytest.raises(GroupBuildError):
+                    _table_group(G, table, "two entries swapped")
+
+
+# sha256 prefixes of np.stack(G.meta["codes"]) as little-endian int64: the
+# element order of every matrix group, as enumerated before this check
+MATRIX_CODE_HASHES = {
+    "SL2(4)": "0ac931a8a22c9fd6",
+    "SL2(5)": "31f0939db1d6b77f",
+    "SL2(7)": "409a66019069ea16",
+    "SL2(8)": "314f1f7c45b000b8",
+    "SL2(9)": "4660c1eef3f5ee0a",
+    "PSL2(4)": "104067640ab7f3bf",
+    "PSL2(5)": "a8715a36104884ba",
+    "PSL2(7)": "f0940cf432e2d3b1",
+    "PSL2(8)": "322e73d240c8b5e4",
+    "PSL2(9)": "ac901c1fb27e405a",
+    "PGL2(4)": "104067640ab7f3bf",
+    "PGL2(5)": "e4166fe0e3371a2e",
+    "PGL2(7)": "a2be3ec9041e8390",
+    "PGL2(8)": "322e73d240c8b5e4",
+    "PGL2(9)": "916ce13b6492e762",
+    "PSL2(25)": "fb618afe8ddb6e68",
+    "PSL2(27)": "ba464183870105b1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CODE_HASHES))
+def test_matrix_enumeration_is_pinned(name):
+    import hashlib
+
+    from autmap.parser import elaborate_text
+
+    codes = np.ascontiguousarray(np.stack(elaborate_text(name).meta["codes"]), dtype="<i8")
+    assert hashlib.sha256(codes.tobytes()).hexdigest()[:16] == MATRIX_CODE_HASHES[name]
 
 
 @pytest.mark.parametrize("text", ["PSL2(7)", "S7"])

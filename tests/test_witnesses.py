@@ -136,6 +136,28 @@ def test_witness_twist_stays_in_coset(a5, aut_a5):
         assert shift.key in inner_keys
 
 
+def test_wreath_witness_over_psl2_13():
+    # PSL2(13) has 1,092 elements, past the normal-subgroup lattice cap, so
+    # the simplicity test must not need the lattice
+    from autmap.cli import cmd_witness_wreath
+
+    results, _, code = cmd_witness_wreath("PSL2(13)", 2, 0, 10_000)
+    assert code == 0
+    assert results["verified"] and results["eq2_holds"]
+
+
+@pytest.mark.parametrize("text", ["A5", "PSL2(7)", "A6", "PSL2(8)", "S5", "A5 x C2", "SL2(5)", "C5"])
+def test_simplicity_by_class_closures_matches_the_lattice(text):
+    from autmap.parser import elaborate_text
+    from autmap.structure import normal_subgroups
+    from autmap.witnesses import _is_nonabelian_simple
+
+    S = elaborate_text(text)
+    T = S.require_table()
+    by_lattice = not np.array_equal(T, T.T) and len(normal_subgroups(S)) == 2
+    assert _is_nonabelian_simple(S) == by_lattice == (text in ("A5", "PSL2(7)", "A6", "PSL2(8)"))
+
+
 def test_witness_rejects_solvable_base():
     S3 = build_symmetric(3)
     with pytest.raises(GroupBuildError):
