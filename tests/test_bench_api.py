@@ -28,7 +28,9 @@ def test_traced_layers_patch_existing_names():
     from autmap import cli, witnesses
 
     layers = next(
-        n for n in ast.walk(_tree("traced.py")) if isinstance(n, ast.ClassDef) and n.name == "Layers"
+        n
+        for n in ast.walk(_tree("traced.py"))
+        if isinstance(n, ast.ClassDef) and n.name == "Layers"
     )
     install = next(n for n in layers.body if isinstance(n, ast.FunctionDef) and n.name == "install")
     loop = next(n for n in ast.walk(install) if isinstance(n, ast.For))

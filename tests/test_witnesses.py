@@ -146,7 +146,9 @@ def test_wreath_witness_over_psl2_13():
     assert results["verified"] and results["eq2_holds"]
 
 
-@pytest.mark.parametrize("text", ["A5", "PSL2(7)", "A6", "PSL2(8)", "S5", "A5 x C2", "SL2(5)", "C5"])
+@pytest.mark.parametrize(
+    "text", ["A5", "PSL2(7)", "A6", "PSL2(8)", "S5", "A5 x C2", "SL2(5)", "C5"]
+)
 def test_simplicity_by_class_closures_matches_the_lattice(text):
     from autmap.parser import elaborate_text
     from autmap.structure import normal_subgroups
