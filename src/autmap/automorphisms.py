@@ -10,7 +10,8 @@ are formed on demand.  The representatives are found either
     chosen greedily to minimize the generating set, candidate images are
     filtered by element order and centralizer size, and partial assignments
     are closed level by level into partial homomorphisms, pruning conflicts;
-    the resulting automorphisms are then split into cosets;
+    only one tuple of images per Inn(G)-orbit is searched, so exactly one
+    automorphism per coset is found;
   * or, for PSL2(q), structurally: every automorphism is
     M -> N * frob^i(M) * N^-1 with N ranging over PGL2(q) and i < f, and
     N over PGL2(q)/PSL2(q) gives one per coset;
@@ -383,14 +384,14 @@ def greedy_generators(G: GroupTable) -> list[int]:
 
 
 def _consistent_tuples(T, gens, tuples, members, tree):
-    """Filter candidate generator-image tuples to those that extend to an
-    injective homomorphism on the subgroup spanned by ``members``; returns
-    the survivors and their images.  ``members`` and ``tree`` are the
-    discovery order and BFS tree from ``closure_tree``."""
+    """Which candidate generator-image tuples extend to an injective
+    homomorphism on the subgroup spanned by ``members``; returns that mask
+    and the survivors' images.  ``members`` and ``tree`` are the discovery
+    order and BFS tree from ``closure_tree``."""
     n = T.shape[0]
     src, genpos = tree
     targets = members[1:]
-    survivors = []
+    oks = []
     images_out = []
     block = 1024  # bounds the (block, n) work arrays: about 1.5 MB each at n = 360
     for start in range(0, len(tuples), block):
@@ -406,23 +407,39 @@ def _consistent_tuples(T, gens, tuples, members, tree):
             rhs = T[phi[:, members], blk[:, k : k + 1]]
             ok &= (lhs == rhs).all(axis=1)
         ok &= (phi[:, members] == 0).sum(axis=1) == 1
-        survivors.append(blk[ok])
+        oks.append(ok)
         images_out.append(phi[ok])
-    return np.concatenate(survivors), np.concatenate(images_out)
+    return np.concatenate(oks), np.concatenate(images_out)
+
+
+def _orbit_least(G: GroupTable, masks: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row k: which of ``ys`` are the least of their orbit under conjugation
+    by the subgroup ``masks[k]``."""
+    return np.stack([_conjugations(G, np.flatnonzero(m), ys).min(axis=0) for m in masks]) == ys
 
 
 def _brute_aut_images(G: GroupTable) -> np.ndarray:
+    """The images of one automorphism per Inn(G)-coset, the identity among
+    them.  iota_c o alpha sends each generator g to c alpha(g) c^-1, so the
+    search keeps only the tuples whose j-th image is the least of its orbit
+    under C_G of the images before it: one tuple per orbit of Inn(G).  The
+    identity's tuple is the one kept from Inn(G): a conjugate of g_j by the
+    centralizer of g_1..g_j-1 enlarges <g_1..g_j-1> as much as g_j does, and
+    greedy_generators breaks ties to the least index."""
     T = G.require_table()
     gens = greedy_generators(G)
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
     orders = element_orders(G)
-    cent = (T == T.T).sum(axis=1)
+    commute = T == T.T
+    cent = commute.sum(axis=1)
     cand_lists = [
         np.nonzero((orders == orders[g]) & (cent == cent[g]))[0].astype(np.int64)
         for g in gens
     ]
     tuples = np.empty((1, 0), dtype=np.int64)
+    # each tuple's common centralizer of its images, as a row of ``masks``
+    masks, cid = np.ones((1, G.n), dtype=bool), np.zeros(1, dtype=np.int64)
     for j, cands in enumerate(cand_lists):
         # no larger than the largest table the package holds
         if len(tuples) * len(cands) * G.n > MATERIALIZE_CAP**2:
@@ -430,12 +447,18 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
                 f"{G.name}: the brute Aut search would expand {len(tuples)} x {len(cands)} "
                 f"candidate images, over {MATERIALIZE_CAP}^2 cells"
             )
-        expanded = np.repeat(tuples, len(cands), axis=0)
-        col = np.tile(cands, len(tuples))[:, None]
+        if j:
+            # C(t_1..t_j) = C(t_1..t_j-1) & C(t_j), once per distinct pair
+            pairs, cid = np.unique(cid * G.n + tuples[:, -1], return_inverse=True)
+            masks, inv = np.unique(
+                masks[pairs // G.n] & commute[pairs % G.n], axis=0, return_inverse=True
+            )
+            cid = inv.reshape(-1)[cid]
+        rows, cols = np.nonzero(_orbit_least(G, masks, cands)[cid])
         mask, members, tree = closure_tree(G, gens[: j + 1])
-        tuples, images = _consistent_tuples(
-            T, gens[: j + 1], np.hstack([expanded, col]), members, tree
-        )
+        expanded = np.hstack([tuples[rows], cands[cols, None]])
+        ok, images = _consistent_tuples(T, gens[: j + 1], expanded, members, tree)
+        tuples, cid = expanded[ok], cid[rows[ok]]
     if not mask.all():
         raise AutomorphismError("generators do not generate the group")
     return images
@@ -542,11 +565,9 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
             raise StrategyError(f"brute Aut search capped at order {BRUTE_CAP}, got {G.n}")
         images = _brute_aut_images(G)
         ident = (images == np.arange(G.n)).all(axis=1)
-        return AutGroup(
-            G,
-            [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
-             for img, i in zip(images, ident)],
-        )
+        autos = [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
+                 for img, i in zip(images, ident)]
+        return AutGroup.from_reps(G, autos, lambda r, c: autos[r].provenance if c == 0 else "raw")
     if strategy == "psl2_structured":
         if G.kind != "PSL2":
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")

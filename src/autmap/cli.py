@@ -396,7 +396,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code != 2:  # --help exits 0
+            raise
+        return EXIT_INPUT_ERROR  # argparse's usage-error code 2 means a violation here
     t0 = time.time()
     caps = {"order_cap": args.cap}
     try:
@@ -432,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"theorem-consistency violation (bug): {e}", file=sys.stderr)
         return EXIT_THEOREM_VIOLATION
     except (ValueError, KeyError, StrategyError, AutmapError) as e:
-        print(f"input error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"input error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     report = build_report(

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from autmap.groups import GroupTable
+from types import SimpleNamespace
+
+import numpy as np
+
+from autmap import automorphisms
+from autmap.groups import GroupTable, closure_tree, element_orders
 
 
 def element_order(G: GroupTable, x: int) -> int:
@@ -91,3 +96,28 @@ def find_isomorphism(G: GroupTable, H: GroupTable):
         return None
 
     return rec(0, [])
+
+
+def full_brute_aut(G: GroupTable) -> automorphisms.AutGroup:
+    """Aut(G) from every automorphism, found by the generator-image search
+    with no Inn(G)-orbit filter: every consistent tuple of candidate images
+    is kept, and the full list is split into cosets by ``AutGroup``."""
+    T = G.require_table()
+    gens = automorphisms.greedy_generators(G)
+    orders = element_orders(G)
+    cent = (T == T.T).sum(axis=1)
+    tuples = np.empty((1, 0), dtype=np.int64)
+    for j, g in enumerate(gens):
+        cands = np.nonzero((orders == orders[g]) & (cent == cent[g]))[0]
+        expanded = np.hstack(
+            [np.repeat(tuples, len(cands), axis=0), np.tile(cands, len(tuples))[:, None]]
+        )
+        _, members, tree = closure_tree(G, gens[: j + 1])
+        ok, images = automorphisms._consistent_tuples(T, gens[: j + 1], expanded, members, tree)
+        tuples = expanded[ok]
+    ident = (images == np.arange(G.n)).all(axis=1)
+    return automorphisms.AutGroup(
+        G,
+        [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
+         for img, i in zip(images, ident)],
+    )

@@ -4,6 +4,7 @@ import pytest
 from autmap.automorphisms import (
     AutGroup,
     Automorphism,
+    _brute_aut_images,
     compute_aut,
     compute_inner,
     fixed_points,
@@ -121,6 +122,42 @@ def test_brute_and_structured_agree_on_psl2(q):
     brute = compute_aut(G, "brute")
     structured = compute_aut(G, "psl2_structured")
     assert {a.key for a in brute.all} == {a.key for a in structured.all}
+
+
+BRUTE_GROUPS = [
+    # the catalog groups the brute strategy covers
+    "A5", "S5", "SL2(5)", "A5 x C2", "A5 x C3", "SL2(7)", "A6",
+    # abelian (the orbit filter keeps everything) or with a nontrivial centre
+    "C2 x C2 x C2", "C5 x C5", "Q8", "D8", "SL2(3)", "Q8 x C3", "S3 x S3", "D128",
+]
+
+
+@pytest.mark.parametrize("text", BRUTE_GROUPS)
+def test_brute_matches_full_enumeration(text):
+    G = elaborate_text(text)
+    A = compute_aut(G, "brute")
+    ref = helpers.full_brute_aut(G)
+    assert len(A) == len(ref)
+    assert [a.images.tolist() for a in A.all] == [a.images.tolist() for a in ref.all]
+    assert [a.provenance for a in A.all] == [a.provenance for a in ref.all]
+    assert [a.key for a in A.coset_reps] == [a.key for a in ref.coset_reps]
+    assert [a.key for a in A.inner] == [a.key for a in ref.inner]
+
+
+@pytest.mark.parametrize(
+    "text, cosets, order",
+    [("A6", 4, 1440), ("D256", 128, 32768), ("Q8 x Q8", 1152, 18432),
+     ("C2 x C2 x C2", 168, 168), ("C2 x D64", 256, 16384)],
+)
+def test_brute_search_keeps_one_tuple_per_coset(text, cosets, order):
+    G = elaborate_text(text)
+    survivors = _brute_aut_images(G)
+    A = compute_aut(G, "brute")
+    assert len(survivors) == len(A.coset_reps) == len(A.reps)
+    assert len(survivors) == cosets
+    assert len(A) == order
+    # the identity is kept as the representative of Inn(G)
+    assert (survivors == np.arange(G.n)).all(axis=1).sum() == 1
 
 
 def test_inner_size_is_order_over_center():

@@ -48,3 +48,17 @@ def test_traced_layers_patch_existing_names():
     assert ("witnesses", "build_psl2") in patched
     for module, attr in patched:
         assert hasattr({"cli": cli, "witnesses": witnesses}[module], attr), f"{module}.{attr}"
+
+
+def test_autgroup_rebuilt_from_brute_rows():
+    # the traced bench pass rebuilds AutGroup from every row of compute_aut
+    from autmap.automorphisms import AutGroup, compute_aut
+    from autmap.groups import build_alternating
+
+    G = build_alternating(6)
+    A = compute_aut(G, "brute")
+    B = AutGroup(G, A.all)
+    assert len(B) == len(A) == 1440
+    assert [a.key for a in B.all] == [a.key for a in A.all]
+    assert [a.provenance for a in B.all] == [a.provenance for a in A.all]
+    assert [a.key for a in B.coset_reps] == [a.key for a in A.coset_reps]

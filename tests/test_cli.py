@@ -259,6 +259,21 @@ def test_main_input_errors():
     assert main(["verify-theorem", "--scope", "M11"]) == EXIT_INPUT_ERROR
 
 
+def test_main_usage_errors_exit_as_input_errors():
+    # argparse's own exit code 2 would read as a theorem-consistency violation
+    assert main(["spectrum", "--group", "C0"]) == EXIT_INPUT_ERROR
+    assert main([]) == EXIT_INPUT_ERROR
+    assert main(["spectrum", "--group", "C5", "--k-min", "x", "--k-max", "1"]) == EXIT_INPUT_ERROR
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+
+
+def test_main_unknown_catalog_group_message_is_unquoted(capsys):
+    assert main(["verify-theorem", "--scope", "X"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("input error: unknown catalog group 'X'")
+
+
 def test_main_cap_exceeded():
     assert main(["mappings", "--group", "S8"]) == EXIT_CAP_EXCEEDED
     assert main(["mappings", "--group", "A5", "--cap", "10"]) == EXIT_CAP_EXCEEDED
