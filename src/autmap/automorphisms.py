@@ -6,12 +6,12 @@ held as one validated representative per Inn(G)-coset together with the
 conjugations x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c
 are formed on demand.  The representatives are found either
 
-  * by brute backtracking over generator images (|G| <= 512): generators are
-    chosen greedily to minimize the generating set, candidate images are
-    filtered by element order and centralizer size, and partial assignments
-    are closed level by level into partial homomorphisms, pruning conflicts;
-    only one tuple of images per Inn(G)-orbit is searched, so exactly one
-    automorphism per coset is found;
+  * by brute backtracking over the images of ``G.generators`` (|G| <= 512),
+    the generating set every automorphism is validated on: candidate images
+    are filtered by element order and centralizer size, and partial
+    assignments are closed level by level into partial homomorphisms,
+    pruning conflicts; only one tuple of images per Inn(G)-orbit is
+    searched, so exactly one automorphism per coset is found;
   * or, for PSL2(q), structurally: every automorphism is
     M -> N * frob^i(M) * N^-1 with N ranging over PGL2(q) and i < f, and
     N over PGL2(q)/PSL2(q) gives one per coset;
@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .groups import (
     _matrix_mul_codes,
     _pack,
     center,
-    closure_mask,
     closure_tree,
     element_orders,
     is_homomorphism,
@@ -208,93 +206,57 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.lexsort(rows.T[::-1])
 
 
-def _row_ids(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index in ``keys`` of each row of ``queries``; raises unless the
-    keys are distinct and contain every query."""
-    _, ids = np.unique(np.concatenate([keys, queries]), axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    pos = np.full(len(keys) + len(queries), -1, dtype=np.int64)
-    pos[ids[: len(keys)]] = np.arange(len(keys))
-    if len(np.unique(ids[: len(keys)])) != len(keys):
-        raise AutomorphismError("duplicate automorphisms in Aut(G)")
-    found = pos[ids[len(keys) :]]
-    if np.any(found < 0):
-        raise AutomorphismError("Aut(G) is not a union of Inn(G)-cosets")
-    return found
-
-
-def _coset_partition(
-    G: GroupTable, images: np.ndarray, order: np.ndarray, cs: np.ndarray
-) -> np.ndarray:
-    """Split ``images`` (every automorphism of G, one per row, put in image
-    sequence order by ``order``) into Inn(G)-cosets, all at once, and return
-    the row of each coset's least member, least first.
-
-    The coset of a row is its orbit under right composition with the
-    conjugations by the generators, which generate Inn(G); each orbit is
-    labelled by its least row through min-propagation along those edges."""
-    gens = np.asarray(G.generators, dtype=np.int64)
-    cols = np.arange(_prefix_width(G), dtype=np.int64)
-    # the rows in sorted order, read only at the columns used here rather
-    # than copied whole
-    rows = order[:, None]
-    keys = images[rows, cols]
-    conj = _conjugations(G, gens, cols).reshape(-1)
-    edges = _row_ids(keys, images[rows, conj].reshape(-1, len(cols)))
-    edges = edges.reshape(len(images), len(gens))
-    label = np.arange(len(images))
-    while True:
-        low = np.minimum(label, label[edges].min(axis=1, initial=len(images)))
-        low = low[low]  # pointer jumping: labels only ever decrease
-        if np.array_equal(low, label):
-            break
-        label = low
-    reps = np.unique(label)
-    if len(reps) * len(cs) != len(images):
-        raise AutomorphismError("|Aut| != |Inn| * number of cosets")
-    return order[reps]
-
-
 class AutGroup:
     """Aut(G) held as its Inn(G)-cosets: one validated representative per
     coset, times Inn(G) as conjugation rows.  The images of row
     alpha o iota_c are formed only when they are read.
 
     ``all``, ``inner`` and ``coset_reps`` are each sorted by image sequence;
-    the transversal is the lexicographically least member of each coset.
-    ``reps`` are the representatives the rows are formed from, and
-    ``parts(j)`` names row j as (index into ``reps``, c).
+    the transversal is the lexicographically least member of each coset, and
+    ``inner`` is the rows of the coset of the identity.  ``reps`` are the
+    representatives the rows are formed from, and ``parts(j)`` names row j
+    as (index into ``reps``, c).
 
-    Constructed from every automorphism of G (anything with ``images`` and
-    ``provenance``, such as another AutGroup's ``all``), each row keeps its
-    given provenance; ``from_reps`` takes one map per coset and a naming
-    rule.  Either way the representatives are validated here, exactly, and
-    only they are: every other row is one of them composed with a
-    conjugation.
+    Constructed from every automorphism of G, in any order (anything with
+    ``images`` and ``provenance``, such as another AutGroup's ``all``), each
+    row keeps its given provenance; ``from_reps`` takes an image matrix with
+    one row per coset and a naming rule.  Either way the representatives
+    are validated here, exactly, and only they are: every other row is one
+    of them composed with a conjugation.
     """
 
     def __init__(self, parent: GroupTable, all_autos):
-        cs = _conjugators(parent)
         autos = list(all_autos)
         images = np.stack([a.images for a in autos])
-        order = _lex_order(images[:, : _prefix_width(parent)])
-        reps = _coset_partition(parent, images, order, cs)
-        # the rows come out in this same sorted order, so row j is autos[order[j]]
-        names = [autos[i].provenance for i in order]
-        self._setup(parent, [autos[i] for i in reps], cs, lambda j, r, c: names[j])
+        cs = _conjugators(parent)
+        width = _prefix_width(parent)
+        inner_prefix = _conjugations(parent, cs, np.arange(width))
+        order = _lex_order(images[:, :width]).tolist()
+        # in image order the first row met of each coset is its least; it
+        # becomes a representative, and the prefixes of its coset are covered
+        covered, reps = set(), []
+        for i in order:
+            if images[i, :width].tobytes() not in covered:
+                reps.append(i)
+                covered.update(key.tobytes() for key in images[i][inner_prefix])
+        self._setup(parent, images[reps], cs, lambda r, c: autos[reps[r]].provenance)
+        if not np.array_equal(np.stack([a.images for a in self.all]), images[order]):
+            raise AutomorphismError("given rows are not whole Inn(G)-cosets without duplicates")
+        for a, i in zip(self.all, order):
+            a.provenance = autos[i].provenance
 
     @classmethod
-    def from_reps(cls, parent: GroupTable, reps, tag) -> "AutGroup":
-        """Aut(G) from one automorphism per Inn(G)-coset (with ``images`` and
-        ``provenance``); ``tag(r, c)`` names row reps[r] o iota_c."""
+    def from_reps(cls, parent: GroupTable, images, tag) -> "AutGroup":
+        """Aut(G) from one automorphism per Inn(G)-coset, the rows of the
+        (r x n) matrix ``images``; ``tag(r, c)`` names the row formed from
+        representative r and conjugator c, and ``tag(r, 0)`` representative r."""
         self = cls.__new__(cls)
-        self._setup(parent, reps, _conjugators(parent), lambda j, r, c: tag(r, c))
+        self._setup(parent, images, _conjugators(parent), tag)
         return self
 
-    def _setup(self, parent, reps, cs, tag):
-        """``tag(j, r, c)`` names row j, reps[r] o iota_c."""
+    def _setup(self, parent, images, cs, tag):
         self.parent = parent
-        self.reps = [Automorphism(parent, rep.images, rep.provenance) for rep in reps]
+        self.reps = [Automorphism(parent, img, tag(r, 0)) for r, img in enumerate(images)]
         cols = np.arange(_prefix_width(parent), dtype=np.int64)
         inner_prefix = _conjugations(parent, cs, cols)
         prefix = np.concatenate([rep.images[inner_prefix] for rep in self.reps])
@@ -308,14 +270,16 @@ class AutGroup:
         self._c_of = cs[c_pos]
         # rows are light handles: each forms its images when they are read
         self.all = [
-            _Row(parent, self.reps[r].images, c, tag(j, r, c))
-            for j, (r, c) in enumerate(zip(self._rep_of.tolist(), self._c_of.tolist()))
+            _Row(parent, self.reps[r].images, c, tag(r, c))
+            for r, c in zip(self._rep_of.tolist(), self._c_of.tolist())
         ]
         first = np.sort(np.unique(self._rep_of, return_index=True)[1])
         self.coset_reps = [self.all[j] for j in first.tolist()]
         self._coset_rank = np.empty(len(self.reps), dtype=np.int64)
         self._coset_rank[self._rep_of[first]] = np.arange(len(first))
-        self.inner = compute_inner(parent)
+        # row 0 is the identity, so its coset is Inn(G)
+        inner = np.flatnonzero(self._rep_of == self._rep_of[0])
+        self.inner = [self.all[j] for j in inner.tolist()]
 
     def parts(self, j: int) -> tuple[int, int]:
         return int(self._rep_of[j]), int(self._c_of[j])
@@ -343,44 +307,15 @@ class AutGroup:
 
 
 def compute_inner(G: GroupTable) -> list[Automorphism]:
-    """Inn(G), one automorphism per distinct conjugation, sorted by images.
-    A conjugation is an automorphism by the group axioms, so none is
-    re-checked."""
-    cs = _conjugators(G)
-    ident = np.arange(G.n, dtype=np.int32)
-    prefix = _conjugations(G, cs, np.arange(_prefix_width(G)))
-    return [_Row(G, ident, int(cs[j]), f"inner({cs[j]})") for j in _lex_order(prefix)]
+    """Inn(G), one automorphism per distinct conjugation, sorted by images:
+    the coset of the identity.  A conjugation is an automorphism by the group
+    axioms, so none is re-checked."""
+    return AutGroup.from_reps(G, np.arange(G.n)[None], lambda r, c: f"inner({c})").all
 
 
 # ---------------------------------------------------------------------------
 # brute-force Aut(G)
 # ---------------------------------------------------------------------------
-
-
-def greedy_generators(G: GroupTable) -> list[int]:
-    """Generating set grown by always taking the element that enlarges the
-    generated subgroup the most (ties to the least index)."""
-    n = G.n
-    gens: list[int] = []
-    have = closure_mask(G, gens)
-    while not have.all():
-        best_x, best_size, best_have = -1, -1, None
-        # x inside an earlier candidate's span generates no more than that
-        # candidate did, so it cannot win and is skipped
-        seen = have.copy()
-        for x in range(n):
-            if seen[x]:
-                continue
-            trial = closure_mask(G, gens + [x])
-            seen |= trial
-            size = int(trial.sum())
-            if size > best_size:
-                best_x, best_size, best_have = x, size, trial
-                if size == n:
-                    break
-        gens.append(best_x)
-        have = best_have
-    return gens
 
 
 def _consistent_tuples(T, gens, tuples, members, tree):
@@ -420,14 +355,15 @@ def _orbit_least(G: GroupTable, masks: np.ndarray, ys: np.ndarray) -> np.ndarray
 
 def _brute_aut_images(G: GroupTable) -> np.ndarray:
     """The images of one automorphism per Inn(G)-coset, the identity among
-    them.  iota_c o alpha sends each generator g to c alpha(g) c^-1, so the
-    search keeps only the tuples whose j-th image is the least of its orbit
-    under C_G of the images before it: one tuple per orbit of Inn(G).  The
-    identity's tuple is the one kept from Inn(G): a conjugate of g_j by the
-    centralizer of g_1..g_j-1 enlarges <g_1..g_j-1> as much as g_j does, and
-    greedy_generators breaks ties to the least index."""
+    them, searched as tuples of images of ``G.generators``.  iota_c o alpha
+    sends each generator g to c alpha(g) c^-1, so the search keeps only the
+    tuples whose j-th image is the least of its orbit under C_G of the images
+    before it: one tuple per orbit of Inn(G).  The identity's tuple is the
+    one kept from Inn(G): g_j is the least element outside <g_1..g_j-1>, and
+    a conjugate of g_j by the centralizer of g_1..g_j-1 lies outside that
+    subgroup too, so it is no less than g_j."""
     T = G.require_table()
-    gens = greedy_generators(G)
+    gens = list(G.generators)
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
     orders = element_orders(G)
@@ -510,21 +446,19 @@ def frobenius_field_aut(G: GroupTable, i: int) -> Automorphism:
     return Automorphism(G, frobenius_permutation(G, i), provenance=f"field({i})")
 
 
-def _psl2_structured_images(G: GroupTable) -> list[tuple[np.ndarray, tuple[bool, int]]]:
+def _psl2_structured_images(G: GroupTable) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """One automorphism per Inn(G)-coset of Aut(PSL2(q)) = PGL2(q) x| Gal:
     conj_N o frob^i for i < f, N the identity or (q odd) diag(nu, 1) with
-    nu a non-square.  Returns each one's images and (N is diagonal, i)."""
+    nu a non-square.  Returns their images, one row each, and each one's
+    (N is diagonal, i)."""
     F = field_for(G.meta["q"])
     nmats = [(1, 0, 0, 1)]
     nonsquares = np.nonzero(~F.square_mask)[0]
     if len(nonsquares):
         nmats.append((int(nonsquares[0]), 0, 0, 1))
     frobs = [frobenius_permutation(G, i) for i in range(F.f)]
-    return [
-        (conjugation_permutation(G, nmat)[fr], (diagonal, i))
-        for diagonal, nmat in enumerate(nmats)
-        for i, fr in enumerate(frobs)
-    ]
+    keys = [(diagonal, i) for diagonal in range(len(nmats)) for i in range(F.f)]
+    return np.stack([conjugation_permutation(G, nmats[d])[frobs[i]] for d, i in keys]), keys
 
 
 def _psl2_tag(diagonal: bool, i: int, c: int) -> str:
@@ -565,16 +499,15 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
             raise StrategyError(f"brute Aut search capped at order {BRUTE_CAP}, got {G.n}")
         images = _brute_aut_images(G)
         ident = (images == np.arange(G.n)).all(axis=1)
-        autos = [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
-                 for img, i in zip(images, ident)]
-        return AutGroup.from_reps(G, autos, lambda r, c: autos[r].provenance if c == 0 else "raw")
+        return AutGroup.from_reps(
+            G, images, lambda r, c: "inner(0)" if c == 0 and ident[r] else "raw"
+        )
     if strategy == "psl2_structured":
         if G.kind != "PSL2":
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")
         G.require_table()
-        found = _psl2_structured_images(G)
-        autos = [SimpleNamespace(images=img, provenance=_psl2_tag(*key, 0)) for img, key in found]
-        return AutGroup.from_reps(G, autos, lambda r, c: _psl2_tag(*found[r][1], c))
+        images, keys = _psl2_structured_images(G)
+        return AutGroup.from_reps(G, images, lambda r, c: _psl2_tag(*keys[r], c))
     if strategy == "product":
         return _product_aut(G)
     raise StrategyError(f"unknown Aut strategy {strategy!r}")
@@ -591,14 +524,7 @@ def _product_aut(G: GroupTable) -> AutGroup:
             "product Aut strategy requires coprime factor orders; "
             f"got {G1.n} and {G2.n}"
         )
-    n2 = G2.n
-    reps1, reps2 = compute_aut(G1).reps, compute_aut(G2).reps
-    autos = [
-        SimpleNamespace(
-            images=(a1.images.astype(np.int64)[:, None] * n2 + a2.images).reshape(-1),
-            provenance="composed",
-        )
-        for a1 in reps1
-        for a2 in reps2
-    ]
-    return AutGroup.from_reps(G, autos, lambda r, c: "composed")
+    R1, R2 = (np.stack([a.images for a in compute_aut(H).reps]) for H in (G1, G2))
+    # row (r1, r2), at element (x1, x2) = x1 * |G2| + x2, is (R1[r1, x1], R2[r2, x2])
+    images = R1[:, None, :, None].astype(np.int64) * G2.n + R2[None, :, None, :]
+    return AutGroup.from_reps(G, images.reshape(-1, G.n), lambda r, c: "composed")

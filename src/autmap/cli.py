@@ -28,6 +28,7 @@ from .completeness import is_k_complete, iterate_map_bijective
 from .errors import (
     AutmapError,
     CapExceededError,
+    GroupBuildError,
     ParseError,
     StrategyError,
     TheoremViolationError,
@@ -44,7 +45,7 @@ from .mappings import (
 from .parser import elaborate_text
 from .reports import build_report, write_report
 from .structure import is_solvable
-from .witnesses import WreathAut, find_inverted_witness, psl2_witness
+from .witnesses import WITNESS_MAX_COPIES, WreathAut, find_inverted_witness, psl2_witness
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 2
@@ -233,6 +234,9 @@ def cmd_witness_psl2(q: int, i: int) -> tuple[dict, list[dict], int]:
 
 
 def cmd_witness_wreath(base_expr: str, n: int, seed: int, cap: int) -> tuple[dict, list[dict], int]:
+    # checked before n is used as a draw size
+    if not 1 <= n <= WITNESS_MAX_COPIES:
+        raise GroupBuildError(f"wreath witness needs 1 <= n <= {WITNESS_MAX_COPIES}, got {n}")
     S = elaborate_text(base_expr, cap)
     aut = compute_aut(S, "auto")
     rng = np.random.default_rng(seed)

@@ -8,7 +8,9 @@ Grammar (case- and whitespace-insensitive):
     NAME  := C | D | S | A | SL2 | PSL2 | PGL2
 
 Products are left-associative.  Error offsets are 1-based positions in the
-input string.  ``str(expr)`` is the canonical printer:
+input string.  Parsing, order prediction and building recurse once per
+level of nesting, so an expression too deep for Python's recursion limit
+is refused with a ParseError.  ``str(expr)`` is the canonical printer:
 parse(str(parse(s))) == parse(s).
 """
 
@@ -119,7 +121,10 @@ class _Parser:
 
 def parse_group_expr(text: str) -> GroupExpr:
     p = _Parser(text)
-    node = p.parse_expr()
+    try:
+        node = p.parse_expr()
+    except RecursionError:
+        p.error("parentheses nested too deeply")
     if not p.at_end():
         p.error(f"unexpected trailing input {text[p.pos:]!r}")
     return node
@@ -134,13 +139,16 @@ def predicted_order(expr: GroupExpr) -> int:
 
 def elaborate(expr: GroupExpr, size_cap: int | None = None) -> GroupTable:
     """Build the group, checking the predicted order against the cap first."""
-    order = predicted_order(expr)
-    if size_cap is not None and order > size_cap:
-        raise CapExceededError(
-            f"{expr}: predicted order {order} exceeds cap {size_cap}",
-            predicted=order,
-        )
-    return _build(expr)
+    try:
+        order = predicted_order(expr)
+        if size_cap is not None and order > size_cap:
+            raise CapExceededError(
+                f"{expr}: predicted order {order} exceeds cap {size_cap}",
+                predicted=order,
+            )
+        return _build(expr)
+    except RecursionError:
+        raise ParseError("expression nested too deeply to evaluate", offset=1) from None
 
 
 def _build(expr: GroupExpr) -> GroupTable:

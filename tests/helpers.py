@@ -103,7 +103,7 @@ def full_brute_aut(G: GroupTable) -> automorphisms.AutGroup:
     with no Inn(G)-orbit filter: every consistent tuple of candidate images
     is kept, and the full list is split into cosets by ``AutGroup``."""
     T = G.require_table()
-    gens = automorphisms.greedy_generators(G)
+    gens = greedy_generators(G)
     orders = element_orders(G)
     cent = (T == T.T).sum(axis=1)
     tuples = np.empty((1, 0), dtype=np.int64)

@@ -21,7 +21,9 @@ from autmap.cli import (
     cmd_witness_wreath,
     main,
 )
+from autmap.errors import ParseError
 from autmap.groups import ORDER_CAP
+from autmap.parser import elaborate_text
 from autmap.reports import build_report, result_digest
 from autmap.structure import is_solvable
 
@@ -257,6 +259,25 @@ def test_main_input_errors():
     assert main(["spectrum", "--group", "A5 x", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["spectrum", "--group", "PSL2(6)", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "M11"]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["(" * 3000 + "C2" + ")" * 3000, " x ".join(["C1"] * 3000)],
+    ids=["3000 parentheses", "3000 factors"],
+)
+def test_too_deep_group_expression_is_an_input_error(group):
+    # the parser recurses once per parenthesis, and the order prediction and
+    # the build once per product factor
+    with pytest.raises(ParseError, match="too deeply"):
+        elaborate_text(group)
+    assert main(["mappings", "--group", group]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("n", ["1000000000", "-1"])
+def test_wreath_copies_are_checked_before_any_draw(n):
+    # n is the size of the draw of alphas, so it is refused before the draw
+    assert main(["witness", "wreath", "--base", "A5", "--n", n]) == EXIT_INPUT_ERROR
 
 
 def test_main_usage_errors_exit_as_input_errors():
