@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 from .errors import AutomorphismError, CapExceededError, StrategyError
-from .fields import field_for
 from .groups import (
     MATERIALIZE_CAP,
     GroupTable,
@@ -414,28 +413,18 @@ def _psl2_index_map(G: GroupTable, codes) -> np.ndarray:
     return idx
 
 
-def frobenius_permutation(G: GroupTable, i: int) -> np.ndarray:
-    """Index permutation of PSL2(q) induced by entrywise x -> x^(p^i)."""
-    q = G.meta["q"]
-    F = field_for(q)
+def psl2_map(G: GroupTable, nmat: tuple[int, int, int, int], i: int) -> np.ndarray:
+    """Index map M -> N frob^i(M) N^-1 of PSL2(q), for N in PGL2(q) given by
+    entry codes and frob^i the entrywise p^i-th power: one code lookup."""
+    F = G.meta["field"]
     if not 0 <= i < F.f:
         raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
-    fr = np.array([F._pow_code(x, F.p**i) for x in range(q)], dtype=np.int64)
-    A, B, C, D = G.meta["codes"]
-    return _psl2_index_map(G, (fr[A], fr[B], fr[C], fr[D]))
-
-
-def conjugation_permutation(G: GroupTable, nmat: tuple[int, int, int, int]) -> np.ndarray:
-    """Index permutation M -> N M N^-1 of PSL2(q), for N in PGL2(q) given by
-    entry codes."""
-    q = G.meta["q"]
-    F = field_for(q)
+    fr = np.array([F._pow_code(x, F.p**i) for x in range(F.q)], dtype=np.int64)
     matmul = _matrix_mul_codes(F)
     NEG = F.neg_table.astype(np.int64)
     na, nb, nc, nd = (np.int64(x) for x in nmat)
     ninv = (nd, NEG[nb], NEG[nc], na)  # adjugate: projective inverse
-    A, B, C, D = G.meta["codes"]
-    left = matmul((na, nb, nc, nd), (A, B, C, D))
+    left = matmul((na, nb, nc, nd), tuple(fr[x] for x in G.meta["codes"]))
     return _psl2_index_map(G, matmul(left, ninv))
 
 
@@ -443,7 +432,7 @@ def frobenius_field_aut(G: GroupTable, i: int) -> Automorphism:
     """The field automorphism of PSL2(q): entrywise p^i-th power."""
     if G.kind != "PSL2":
         raise StrategyError("frobenius_field_aut needs a PSL2(q) group")
-    return Automorphism(G, frobenius_permutation(G, i), provenance=f"field({i})")
+    return Automorphism(G, psl2_map(G, (1, 0, 0, 1), i), provenance=f"field({i})")
 
 
 def _psl2_structured_images(G: GroupTable) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -451,14 +440,13 @@ def _psl2_structured_images(G: GroupTable) -> tuple[np.ndarray, list[tuple[int, 
     conj_N o frob^i for i < f, N the identity or (q odd) diag(nu, 1) with
     nu a non-square.  Returns their images, one row each, and each one's
     (N is diagonal, i)."""
-    F = field_for(G.meta["q"])
+    F = G.meta["field"]
     nmats = [(1, 0, 0, 1)]
     nonsquares = np.nonzero(~F.square_mask)[0]
     if len(nonsquares):
         nmats.append((int(nonsquares[0]), 0, 0, 1))
-    frobs = [frobenius_permutation(G, i) for i in range(F.f)]
     keys = [(diagonal, i) for diagonal in range(len(nmats)) for i in range(F.f)]
-    return np.stack([conjugation_permutation(G, nmats[d])[frobs[i]] for d, i in keys]), keys
+    return np.stack([psl2_map(G, nmats[d], i) for d, i in keys]), keys
 
 
 def _psl2_tag(diagonal: bool, i: int, c: int) -> str:
@@ -505,7 +493,6 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
     if strategy == "psl2_structured":
         if G.kind != "PSL2":
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")
-        G.require_table()
         images, keys = _psl2_structured_images(G)
         return AutGroup.from_reps(G, images, lambda r, c: _psl2_tag(*keys[r], c))
     if strategy == "product":

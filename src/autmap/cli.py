@@ -33,8 +33,7 @@ from .errors import (
     StrategyError,
     TheoremViolationError,
 )
-from .fields import prime_power
-from .groups import ORDER_CAP
+from .groups import ORDER_CAP, check_order_cap, predicted_atomic_order
 from .mappings import (
     EXISTS,
     INDETERMINATE,
@@ -42,10 +41,16 @@ from .mappings import (
     find_orthomorphism,
     hall_paige_predict,
 )
-from .parser import elaborate_text
+from .parser import elaborate_text, parse_group_expr, predicted_order
 from .reports import build_report, write_report
 from .structure import is_solvable
-from .witnesses import WITNESS_MAX_COPIES, WreathAut, find_inverted_witness, psl2_witness
+from .witnesses import (
+    WITNESS_MAX_COPIES,
+    WreathAut,
+    find_inverted_witness,
+    psl2_variant,
+    psl2_witness,
+)
 
 EXIT_OK = 0
 EXIT_THEOREM_VIOLATION = 2
@@ -81,7 +86,9 @@ def _certificate_text(verdict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_theorem(scope: list[str] | None) -> tuple[dict, list[dict], int]:
+def cmd_verify_theorem(
+    scope: list[str] | None, cap: int = ORDER_CAP
+) -> tuple[dict, list[dict], int]:
     names = scope if scope else [e.name for e in NONSOLVABLE_ENTRIES]
     for name in names:
         get_entry(name)  # validate early: unknown names are input errors
@@ -89,6 +96,7 @@ def cmd_verify_theorem(scope: list[str] | None) -> tuple[dict, list[dict], int]:
     def one_group(name):
         entry = get_entry(name)
         try:
+            check_order_cap(name, predicted_order(parse_group_expr(entry.expr)), cap)
             G = catalog_group(name)
         except CapExceededError as e:
             return {"group": name, "error": str(e)}, []
@@ -191,14 +199,9 @@ def cmd_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def cmd_witness_psl2(q: int, i: int) -> tuple[dict, list[dict], int]:
-    p, _ = prime_power(q)
-    if p == 2:
-        variant = "char2"
-    elif q % 4 == 1:
-        variant = "q1mod4"
-    else:
-        variant = "q3mod4"
+def cmd_witness_psl2(q: int, i: int, cap: int = ORDER_CAP) -> tuple[dict, list[dict], int]:
+    check_order_cap(f"PSL2({q})", predicted_atomic_order("PSL2", q), cap)
+    variant = psl2_variant(q)
     wit = psl2_witness(q, i, variant)
     G = wit.group
     elem = wit.element
@@ -411,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify-theorem":
             scope = args.scope if args.scope else [e.name for e in NONSOLVABLE_ENTRIES]
-            results, table, code = cmd_verify_theorem(args.scope)
+            results, table, code = cmd_verify_theorem(args.scope, args.cap)
         elif args.command == "spectrum":
             scope = [args.group]
             results, table, code = cmd_spectrum(
@@ -420,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "witness":
             if args.witness_kind == "psl2":
                 scope = [f"PSL2({args.q})"]
-                results, table, code = cmd_witness_psl2(args.q, args.i)
+                results, table, code = cmd_witness_psl2(args.q, args.i, args.cap)
             else:
                 scope = [args.base]
                 results, table, code = cmd_witness_wreath(

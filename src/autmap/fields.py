@@ -12,6 +12,16 @@ Conventions:
   * its code is the little-endian base-p integer c0 + c1*p + ... ;
   * elements are enumerated by ascending code, so 0, 1, ..., p-1, t, t+1, ...
     This order fixes every "smallest/first" tie-break downstream.
+
+The tables are computed on the (q x f) array of every code's digits:
+addition and negation digit by digit mod p; multiplication as
+a*b = sum_k b_k (a t^k), where a t^(k+1) is a t^k shifted up one degree,
+less its top coefficient times the modulus; the inverse of a is the position
+of 1 in row a; the squares are the diagonal.  The modulus is the first monic
+polynomial of degree f, in code order, whose product table has no zero
+divisors.  That is the first irreducible one: a factor g of the modulus with
+0 < deg g < f gives two nonzero residues whose product is 0, and a finite
+commutative ring without zero divisors is a field.
 """
 
 from __future__ import annotations
@@ -70,60 +80,40 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers (coefficient tuples over F_p, little-endian, no
-# trailing-zero normalization beyond what the callers maintain)
-# ---------------------------------------------------------------------------
+def _digits(p: int, f: int) -> np.ndarray:
+    """The (p^f x f) coefficient digits of every code, in code order."""
+    return np.arange(p**f)[:, None] // p ** np.arange(f) % p
 
 
-def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of num modulo the monic polynomial den, over F_p."""
-    num = [c % p for c in num]
-    dd = len(den) - 1
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] = (num[k - dd + j] - c * den[j]) % p
-    return num[:dd]
+def _encode_digits(digits: np.ndarray, p: int) -> np.ndarray:
+    """Codes of digit arrays along the last axis, each digit reduced mod p,
+    as int16, the dtype of every table."""
+    return (digits % p @ p ** np.arange(digits.shape[-1])).astype(np.int16)
 
 
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg < 1 or poly[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = _decode_coeffs(code, d, p) + (1,)
-            if not any(_poly_mod(list(poly), div, p)):
-                return False
-    return True
-
-
-def _decode_coeffs(code: int, length: int, p: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
-def _encode_coeffs(coeffs, p: int) -> int:
-    code = 0
-    for c in reversed(list(coeffs)):
-        code = code * p + int(c) % p
-    return code
+def _mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The product table modulo the monic ``modulus``, built as the module
+    docstring describes."""
+    q, f = digits.shape
+    low = np.asarray(modulus[:f])
+    shifted = digits  # a t^k for every a
+    prod = np.zeros((q, q, f), dtype=np.int64)
+    for k in range(f):
+        prod += digits[None, :, k, None] * shifted[:, None, :]
+        top = shifted[:, -1:]
+        shifted = (np.pad(shifted[:, :-1], ((0, 0), (1, 0))) - top * low) % p
+    return _encode_digits(prod, p)
 
 
 def default_modulus(p: int, f: int) -> tuple[int, ...]:
-    """The first monic irreducible of degree f in ascending code order."""
-    for code in range(p**f):
-        poly = _decode_coeffs(code, f, p) + (1,)
-        if _is_irreducible(poly, p):
-            return poly
+    """The first monic polynomial of degree f, in ascending code order of its
+    lower coefficients, whose product table has no zero divisors: the first
+    irreducible one."""
+    digits = _digits(p, f)
+    for low in digits:
+        modulus = tuple(int(c) for c in low) + (1,)
+        if _mul_table(digits, modulus, p)[1:, 1:].all():
+            return modulus
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -152,35 +142,14 @@ class FieldParams:
         self.f = f
         self.q = q
         self.modulus = default_modulus(p, f)
-        self._build_tables()
-
-    def _build_tables(self):
-        p, f, q = self.p, self.f, self.q
-        coeff_rows = np.array([_decode_coeffs(c, f, p) for c in range(q)], dtype=np.int64)
-        self.add_table = np.zeros((q, q), dtype=np.int16)
-        self.mul_table = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(q):
-                s = (coeff_rows[a] + coeff_rows[b]) % p
-                self.add_table[a, b] = _encode_coeffs(s, p)
-                prod = np.convolve(coeff_rows[a], coeff_rows[b]) % p
-                rem = _poly_mod(list(int(c) for c in prod), self.modulus, p)
-                self.mul_table[a, b] = _encode_coeffs(rem, p)
-        self.neg_table = np.array(
-            [_encode_coeffs((-coeff_rows[a]) % p, p) for a in range(q)], dtype=np.int16
-        )
-        # inverse: the unique partner with product 1 (code 0 left at 0, unused)
-        self.inv_table = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            self.inv_table[a] = int(np.nonzero(self.mul_table[a] == 1)[0][0])
-        if q % 2 == 1:
-            sq = {int(self.mul_table[a, a]) for a in range(1, q)}
-            self.square_mask = np.zeros(q, dtype=bool)
-            self.square_mask[0] = True
-            for c in sq:
-                self.square_mask[c] = True
-        else:
-            self.square_mask = np.ones(q, dtype=bool)
+        self.digits = _digits(p, f)
+        self.add_table = _encode_digits(self.digits[:, None] + self.digits, p)
+        self.mul_table = _mul_table(self.digits, self.modulus, p)
+        self.neg_table = _encode_digits(-self.digits, p)
+        # inverse: the position of 1 in each row (code 0 has none and keeps 0, unused)
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int16)
+        self.square_mask = np.zeros(q, dtype=bool)
+        self.square_mask[np.diagonal(self.mul_table)] = True
 
     # -- element construction / enumeration --------------------------------
 
@@ -205,12 +174,12 @@ class FieldParams:
         return [self.from_code(c) for c in range(self.q)]
 
     def to_code(self, a: FieldElement) -> int:
-        return _encode_coeffs(a.coeffs, self.p)
+        return int(_encode_digits(np.asarray(a.coeffs), self.p))
 
     def from_code(self, code: int) -> FieldElement:
         if not 0 <= code < self.q:
             raise FieldDomainError(f"code {code} out of range for q={self.q}")
-        return FieldElement(_decode_coeffs(code, self.f, self.p))
+        return FieldElement(tuple(self.digits[code].tolist()))
 
     # -- arithmetic ---------------------------------------------------------
 

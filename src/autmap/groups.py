@@ -68,7 +68,6 @@ class ProjectiveMatrix:
     b: FieldElement
     c: FieldElement
     d: FieldElement
-    canonical: bool = True
 
 
 def perm_label(images) -> str:
@@ -310,11 +309,11 @@ def is_homomorphism(G: GroupTable, H: GroupTable, images) -> bool:
     return True
 
 
-def _check_order_cap(name: str, order: int) -> int:
-    """``order``, unless it exceeds the cap."""
-    if order > ORDER_CAP:
+def check_order_cap(name: str, order: int, cap: int = ORDER_CAP) -> int:
+    """``order``, unless it exceeds ``cap``."""
+    if order > cap:
         raise CapExceededError(
-            f"{name}: predicted order {order} exceeds cap {ORDER_CAP}", predicted=order
+            f"{name}: predicted order {order} exceeds cap {cap}", predicted=order
         )
     return order
 
@@ -325,7 +324,7 @@ def _check_order_cap(name: str, order: int) -> int:
 
 
 def build_cyclic(n: int) -> GroupTable:
-    _check_order_cap(f"C{n}", predicted_atomic_order("C", n))
+    check_order_cap(f"C{n}", predicted_atomic_order("C", n))
     reps = list(range(n))
 
     def mul_many(a, b):
@@ -345,7 +344,7 @@ def build_cyclic(n: int) -> GroupTable:
 
 def build_dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^k and reflections r^k s."""
-    _check_order_cap(f"D{n}", predicted_atomic_order("D", n))
+    check_order_cap(f"D{n}", predicted_atomic_order("D", n))
     reps = [(r, s) for r in range(n) for s in range(2)]  # index = 2r + s
 
     def mul_many(a, b):
@@ -415,7 +414,7 @@ def build_quaternion8() -> GroupTable:
 def _build_perm_group(kind: str, m: int) -> GroupTable:
     letter = "S" if kind == "symmetric" else "A"
     name = f"{letter}{m}"
-    _check_order_cap(name, predicted_atomic_order(letter, m))
+    check_order_cap(name, predicted_atomic_order(letter, m))
     perms = [
         p for p in itertools.permutations(range(m)) if kind == "symmetric" or perm_parity(p) == 0
     ]
@@ -459,14 +458,6 @@ def _pack(a, b, c, d, q):
     return ((a * q + b) * q + c) * q + d
 
 
-def _canonicalize_codes(a, b, c, d, F: FieldParams):
-    """Scale each (a,b,c,d) so the first nonzero entry equals 1."""
-    MUL, INV = F.mul_table.astype(np.int64), F.inv_table.astype(np.int64)
-    lead = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-    s = INV[lead]
-    return MUL[a, s], MUL[b, s], MUL[c, s], MUL[d, s]
-
-
 def _matrix_mul_codes(F: FieldParams):
     MUL = F.mul_table.astype(np.int64)
     ADD = F.add_table.astype(np.int64)
@@ -486,9 +477,11 @@ def _matrix_mul_codes(F: FieldParams):
 
 def _matrix_codes(kind: str, F: FieldParams) -> tuple[np.ndarray, ...]:
     """Entry codes (A, B, C, D) of every element, identity first and the rest
-    by ascending packed code: of all 2x2 matrices, SL2 keeps determinant 1,
-    the projective kinds each class's canonical representative (PSL2 those
-    of square determinant)."""
+    by ascending packed code: of all 2x2 matrices, SL2 keeps determinant 1.
+    The projective kinds keep one representative per class of nonzero scalar
+    multiples, the one whose first nonzero entry is 1: scaling by s != 1
+    moves that entry off 1, so each class has exactly one.  PSL2 keeps those
+    of square determinant."""
     q = F.q
     MUL, ADD, NEG = (t.astype(np.int64) for t in (F.mul_table, F.add_table, F.neg_table))
     codes = np.arange(q**4, dtype=np.int64)
@@ -497,7 +490,8 @@ def _matrix_codes(kind: str, F: FieldParams) -> tuple[np.ndarray, ...]:
     if kind == "SL2":
         keep = det == 1
     else:
-        keep = (det != 0) & (_pack(*_canonicalize_codes(a, b, c, d, F), q) == codes)
+        lead = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
+        keep = (det != 0) & (lead == 1)
         if kind == "PSL2":
             keep &= F.square_mask[det]
     id_code = _pack(1, 0, 0, 1, q)
@@ -508,7 +502,7 @@ def _matrix_codes(kind: str, F: FieldParams) -> tuple[np.ndarray, ...]:
 
 def _matrix_group(kind: str, q: int) -> GroupTable:
     name = f"{kind}({q})"
-    order = _check_order_cap(name, predicted_atomic_order(kind, q))
+    order = check_order_cap(name, predicted_atomic_order(kind, q))
     F = field_for(q)
     MUL = F.mul_table.astype(np.int64)
     NEG = F.neg_table.astype(np.int64)
@@ -629,7 +623,7 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     """Componentwise product; element (i, j) gets index i*|H| + j."""
     n1, n2 = G.n, H.n
     name = f"{G.name} x {H.name}"
-    _check_order_cap(name, n1 * n2)
+    check_order_cap(name, n1 * n2)
     reps = [(G.reps[i], H.reps[j]) for i in range(n1) for j in range(n2)]
     labels = [f"({G.labels[i]},{H.labels[j]})" for i in range(n1) for j in range(n2)]
 

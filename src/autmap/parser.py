@@ -18,8 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ParseError
-from .groups import GroupTable, build_atomic, direct_product, predicted_atomic_order
+from .errors import ParseError
+from .groups import (
+    GroupTable,
+    build_atomic,
+    check_order_cap,
+    direct_product,
+    predicted_atomic_order,
+)
 
 # longest first so SL2/PSL2/PGL2 win over single letters
 _ATOM_NAMES = ("PSL2", "PGL2", "SL2", "Q8", "C", "D", "S", "A")
@@ -141,11 +147,8 @@ def elaborate(expr: GroupExpr, size_cap: int | None = None) -> GroupTable:
     """Build the group, checking the predicted order against the cap first."""
     try:
         order = predicted_order(expr)
-        if size_cap is not None and order > size_cap:
-            raise CapExceededError(
-                f"{expr}: predicted order {order} exceeds cap {size_cap}",
-                predicted=order,
-            )
+        if size_cap is not None:
+            check_order_cap(str(expr), order, size_cap)
         return _build(expr)
     except RecursionError:
         raise ParseError("expression nested too deeply to evaluate", offset=1) from None

@@ -29,14 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import (
-    Automorphism,
-    conjugation_permutation,
-    frobenius_permutation,
-)
+from .automorphisms import Automorphism, _psl2_index_map, frobenius_field_aut, psl2_map
 from .errors import GroupBuildError, TheoremViolationError
-from .fields import field_for
-from .groups import GroupTable, _matrix_mul_codes, _pack, build_psl2, conjugacy_classes
+from .groups import GroupTable, _matrix_mul_codes, build_psl2, conjugacy_classes
 from .structure import subgroup_closure
 
 WITNESS_MAX_COPIES = 6
@@ -60,7 +55,11 @@ class WreathAut:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.alphas) != self.n or len(self.sigma) != self.n:
+        if not 1 <= self.n <= WITNESS_MAX_COPIES:
+            raise GroupBuildError(
+                f"wreath witness needs 1 <= n <= {WITNESS_MAX_COPIES}, got {self.n}"
+            )
+        if len(self.alphas) != self.n or len(self.sigma) != self.n:
             raise GroupBuildError("wreath automorphism needs n alphas and an n-point sigma")
         if sorted(self.sigma) != list(range(self.n)):
             raise GroupBuildError("sigma is not a permutation")
@@ -132,8 +131,6 @@ def find_inverted_witness(w: WreathAut) -> InvertedWitness:
     S = w.base
     if not _is_nonabelian_simple(S):
         raise GroupBuildError("witness construction needs a nonabelian simple base")
-    if w.n > WITNESS_MAX_COPIES:
-        raise GroupBuildError(f"witness construction capped at n <= {WITNESS_MAX_COPIES}")
     cycle = _sigma_cycle(w)
     k = len(cycle)
     gamma = np.arange(S.n, dtype=np.int32)
@@ -234,11 +231,12 @@ def _pair_power(F, start_mat, start_j, e):
     return acc
 
 
-def _psl2_element_index(G: GroupTable, codes: tuple[int, int, int, int]) -> int:
-    idx = int(G.meta["code_lookup"][_pack(*codes, G.meta["q"])])
-    if idx < 0:
-        raise TheoremViolationError(f"matrix {codes} is not in {G.name}")
-    return idx
+def psl2_variant(q: int) -> str:
+    """The witness construction for PSL2(q), q a prime power: by the
+    characteristic 2, else by q mod 4."""
+    if q % 2 == 0:
+        return "char2"
+    return "q1mod4" if q % 4 == 1 else "q3mod4"
 
 
 def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) -> Psl2Witness:
@@ -247,18 +245,16 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
     G = group if group is not None else build_psl2(q)
     if G.kind != "PSL2" or G.meta["q"] != q:
         raise GroupBuildError("group argument must be PSL2(q) for the same q")
-    F = field_for(q)
-    if not 0 <= i < F.f:
-        raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
-    expected = "char2" if F.p == 2 else ("q1mod4" if q % 4 == 1 else "q3mod4")
+    F = G.meta["field"]
+    expected = psl2_variant(q)
     if variant != expected:
         raise ValueError(f"variant {variant!r} does not match q={q} (expected {expected!r})")
+    minus1 = F.to_code(F.scalar(-1))
 
     exponent = None
     if variant == "char2":
-        elem = _psl2_element_index(G, (1, 1, 0, 1))
-        rep_images = frobenius_permutation(G, i)
-        rep = Automorphism(G, rep_images, provenance=f"field({i})")
+        elem = int(_psl2_index_map(G, (1, 1, 0, 1)))
+        rep = frobenius_field_aut(G, i)
     elif variant == "q1mod4":
         xi = F.to_code(F.generator())
         if F.square_mask[xi]:
@@ -266,30 +262,25 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
                 "generator of F_q^* is a square; diag(xi,1) would lie in PSL2"
             )
         dmat = (xi, 0, 0, 1)
-        conj = conjugation_permutation(G, dmat)
-        rep = Automorphism(G, conj[frobenius_permutation(G, i)], provenance="composed")
+        rep = Automorphism(G, psl2_map(G, dmat, i), provenance="composed")
         g = math.gcd(F.f, i)
         exponent = (F.f // g) * (F.p**g - 1) // 2
         mat, j = _pair_power(F, dmat, i, exponent)
         if j != 0:
             raise TheoremViolationError("power of the coset representative kept a field part")
-        elem = _psl2_element_index(G, mat)
-        minus1 = _psl2_element_index(G, (F.to_code(F.scalar(-1)), 0, 0, 1))
-        if elem != minus1:
+        elem = int(_psl2_index_map(G, mat))
+        if elem != int(_psl2_index_map(G, (minus1, 0, 0, 1))):
             raise TheoremViolationError("computed power is not the class of diag(-1,1)")
         # cross-check against direct exponentiation of xi in the field
         if F.pow(F.generator(), (q - 1) // 2) != F.scalar(-1):
             raise TheoremViolationError("xi^((q-1)/2) != -1 in the field")
     else:  # q3mod4
-        cmat = (0, 1, 1, 0)
-        det_is_square = F.square_mask[F.to_code(F.scalar(-1))]
-        if det_is_square:
+        if F.square_mask[minus1]:
             raise TheoremViolationError(
                 "[0 1; 1 0] lies in PSL2 although q = 3 mod 4; -1 should be a non-square"
             )
-        conj = conjugation_permutation(G, cmat)
-        rep = Automorphism(G, conj[frobenius_permutation(G, i)], provenance="composed")
-        elem = _psl2_element_index(G, (0, 1, F.to_code(F.scalar(-1)), 0))
+        rep = Automorphism(G, psl2_map(G, (0, 1, 1, 0), i), provenance="composed")
+        elem = int(_psl2_index_map(G, (0, 1, minus1, 0)))
 
     if elem == 0 or G.mul(elem, elem) != 0:
         raise TheoremViolationError("witness element does not have order 2")

@@ -128,6 +128,16 @@ def test_spectrum_with_iterate():
         assert "iterate_bijective" in row
 
 
+def test_spectrum_psl2_above_the_materialization_cap():
+    # PSL2(23) has 6,072 elements and no table; its Aut(G) is built from
+    # entry codes and its rows through mul_many
+    results, table, code = cmd_spectrum("PSL2(23)", 1, 1, False, False, ORDER_CAP)
+    assert code == EXIT_OK
+    assert (results["order"], results["aut_size"]) == (6072, 12144)
+    assert results["k_complete_counts"] == {"1": 0}
+    assert [row["provenance"] for row in table] == ["inner(0)", "diagonal"]
+
+
 def test_spectrum_k_limit():
     with pytest.raises(ValueError):
         cmd_spectrum("C5", -20, 3, False, False, 10000)
@@ -298,6 +308,20 @@ def test_main_unknown_catalog_group_message_is_unquoted(capsys):
 def test_main_cap_exceeded():
     assert main(["mappings", "--group", "S8"]) == EXIT_CAP_EXCEEDED
     assert main(["mappings", "--group", "A5", "--cap", "10"]) == EXIT_CAP_EXCEEDED
+    assert main(["witness", "psl2", "--q", "7", "--cap", "10"]) == EXIT_CAP_EXCEEDED
+
+
+def test_verify_theorem_honours_cap(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify-theorem", "--scope", "A5", "C3", "--cap", "10", "--out", str(out)]
+    assert main(argv) == EXIT_CAP_EXCEEDED
+    report = json.loads(out.read_text())
+    assert report["results"]["groups"][0] == {
+        "group": "A5",
+        "error": "A5: predicted order 60 exceeds cap 10",
+    }
+    assert [row["group"] for row in report["table"]] == ["C3"]
+    assert report["manifest"]["caps"] == {"order_cap": 10}
 
 
 def test_main_uncovered_aut_strategy_exits_cap_exceeded():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,43 @@ def test_size_cap_and_bad_modulus():
     assert FieldParams(2, 2).modulus == default_modulus(2, 2)  # the only modulus
     with pytest.raises(GroupBuildError):
         FieldParams(4, 1)  # 4 not prime
+
+
+# ---------------------------------------------------------------------------
+# pinned tables
+# ---------------------------------------------------------------------------
+
+# sha256 of the modulus and of the add, mul, neg, inv and square tables (each
+# with its dtype) of every field under the size cap
+TABLE_DIGESTS = {
+    2: "eba1a79fd3526026c69996f06dbff57e28dd0c5dd7ddc012f39cfeeeddf42a11",
+    3: "0d3942c4395e7e174e5680e538adace5d704eb6f8e85006924efcfe1cbb1a974",
+    4: "ad030ea76c63bbc3747545fb628d8bcb5a871c89b55a035294c5d15bdfa917e5",
+    5: "21889edc226f85c045146b1b8d8577187ab46dd4308db5ed3735cdb6b55bd153",
+    7: "659b3296b8123415ad88be43c296866c3109077b4bcddca9cc5338911bb90f3d",
+    8: "14587bd8ca1d8a37c79cee25b8a4151b66c036e81a08a30819100e37478bb826",
+    9: "abb2107cdf64d88d91ce48e05bc56f025dfe9f2e55c2860eb8d3b12479143c99",
+    11: "7f76f796060b12b70985ccbf9de8f269157d07e2f44a7a891d7b23ebc2d213ad",
+    13: "af9ed6dc269074f3b07010145bc6f59dc9d8c66c0b5715f93b84e84eec1811a6",
+    16: "968858135e71f099364ea1867cf6612a74a13525a7a4701ca07709d20755b82a",
+    17: "a98854288130d1efb870a7f3be65b6d06ce6365ff168e13f91b20815dd7fa973",
+    19: "915c187351f64b117750e6c785fb505ddcd8cdba245bf140cf0c6a7155944cac",
+    23: "592860dc1c33e17dd193eafd810966a8537f4f7ebcb06e11f8099335af2bfb03",
+    25: "b333a4bf5bfbe47b021ad0921d39d37463b035e10f84b8b03f8a20b27a085815",
+    27: "be471a323668b9b72cfac84d55d947e13c9359fef5e25fe222d28006238d221b",
+    29: "1d5261c453786f383f33bac3f3cb6df67c04a87c37f55f15b59a4b6f7d05ca4f",
+    31: "61a216b0971ce57cf3491aa6826f9fb717fa91961dc162bbe72194daf0e5ada0",
+    32: "c69d37a95f30f42ee58a0402d8f0547e7515e65d45d98e84670034d434ec20e9",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_field_tables_are_pinned(q):
+    F = FieldParams(*prime_power(q))
+    h = hashlib.sha256(repr(F.modulus).encode())
+    for t in (F.add_table, F.mul_table, F.neg_table, F.inv_table, F.square_mask):
+        h.update(t.dtype.str.encode() + t.tobytes())
+    assert h.hexdigest() == TABLE_DIGESTS[q]
 
 
 # ---------------------------------------------------------------------------

@@ -183,31 +183,8 @@ def test_sylow2_profile_examples():
 
 
 # ---------------------------------------------------------------------------
-# canonical projective form
+# matrix groups
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
-def test_projective_canonicalization_idempotent_under_scaling(q):
-    from autmap.groups import _canonicalize_codes
-
-    F = field_for(q)
-    MUL = F.mul_table.astype(np.int64)
-    ADD = F.add_table.astype(np.int64)
-    NEG = F.neg_table.astype(np.int64)
-    codes = np.arange(q**4, dtype=np.int64)
-    d = codes % q
-    c = (codes // q) % q
-    b = (codes // q**2) % q
-    a = codes // q**3
-    det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-    keep = det != 0
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    base = _canonicalize_codes(a, b, c, d, F)
-    for lam in range(1, q):
-        scaled = _canonicalize_codes(MUL[a, lam], MUL[b, lam], MUL[c, lam], MUL[d, lam], F)
-        for x, y in zip(base, scaled):
-            assert np.array_equal(x, y)
 
 
 def _reference_mul(G):
@@ -282,6 +259,11 @@ def test_code_lookup_is_scalar_invariant(build, q):
         assert np.array_equal(lookup[_pack(*codes, q)], idx)
     # every other code is outside the group
     assert np.count_nonzero(lookup >= 0) == G.n * len(scalars)
+    if G.kind != "SL2":
+        # each projective class is represented by its member whose first
+        # nonzero entry is 1
+        entries = np.stack(G.meta["codes"], axis=1)
+        assert np.all(entries[np.arange(G.n), np.argmax(entries != 0, axis=1)] == 1)
 
 
 def test_psl2_4_isomorphic_to_a5():

@@ -66,6 +66,8 @@ def test_wreath_validation(a5):
     other = build_symmetric(3)
     with pytest.raises(GroupBuildError):
         WreathAut(a5, 1, (identity_automorphism(other),), (0,))
+    with pytest.raises(GroupBuildError, match="n <= 6"):
+        WreathAut(a5, 7, (ident,) * 7, tuple(range(7)))  # over WITNESS_MAX_COPIES
 
 
 # ---------------------------------------------------------------------------
