@@ -63,7 +63,7 @@ K_RANGE_LIMIT = 16
 def _reverify_verdict(G, alpha, verdict) -> None:
     """Re-check a completeness certificate right before emission."""
     if verdict.verdict:
-        if len(set(int(v) for v in verdict.image)) != G.n:
+        if np.unique(verdict.image).size != G.n:
             raise TheoremViolationError("emitted success certificate failed re-verification")
     else:
         g, h = verdict.collision
@@ -77,7 +77,7 @@ def _certificate_text(verdict) -> str:
     """Inline certificate: the displacement image on success, the colliding
     pair on failure."""
     if verdict.verdict:
-        return "image:" + ";".join(str(int(x)) for x in verdict.image)
+        return "image:" + ";".join(map(str, verdict.image.tolist()))
     return f"collision:{verdict.collision[0]}|{verdict.collision[1]}"
 
 

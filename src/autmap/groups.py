@@ -10,12 +10,17 @@ Conventions shared by the whole package:
   * the full n x n multiplication table is materialized for n <= 4096; larger
     groups multiply on demand through vectorized arithmetic on the canonical
     representations;
+  * a materialized table is filled a block of rows at a time and read as one
+    flat array, products a*b as ``table.ravel().take(a*n + b)``: a 1-D take
+    is numpy's fast gather, where 2-D fancy indexing is its slow one;
   * a 2x2 matrix product over GF(q) is exact, through the field's tables, but
     regrouped by rows: ``rowprod[u*q + v, y]`` packs the row vector (u, v)
     times matrix y, so the product of x and y packs as
     rowprod[top row of x, y] * q^2 + rowprod[bottom row of x, y], and one
     lookup of that code, filled at every nonzero scalar multiple of each
-    projective representative, gives its index without canonicalization;
+    projective representative, gives its index without canonicalization.
+    Row x of the table is thus two whole rows of rowprod, combined and
+    looked up;
   * every group carries a generating set (``GroupTable.generators``), on which
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
@@ -24,7 +29,8 @@ Every constructed table is self-checked: two-sided identity and inverses,
 and associativity.  Associativity is exact on every materialized table:
 (xy)s = x(ys) for all x, y and every generator s extends to every z = w*s by
 induction on word length, (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) =
-x(y(ws)) (Light's test).  Together the three make the table a group's, and
+x(y(ws)) (Light's test), checked a block of rows at a time by 1-D takes
+from the table.  Together the three make the table a group's, and
 a group's table is a Latin square, so that needs no check of its own.
 Groups multiplied on demand are checked on 10^5 seeded random triples
 instead.
@@ -147,7 +153,7 @@ class GroupTable:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.table is not None:
-            return self.table[a, b]
+            return self.table.ravel().take(a * self.n + b)
         return self._mul_many_fn(a, b)
 
     def mul(self, i: int, j: int) -> int:
@@ -203,8 +209,10 @@ class GroupTable:
 
 
 def _row_blocks(n: int):
-    """Row slices of an n-column product table, about 65,536 products each."""
-    step = max(1, 65_536 // max(n, 1))
+    """Row slices of an n-column product table, about 16,384 products each:
+    small enough that one block's temporaries stay in cache and are reused
+    by the allocator rather than mapped afresh."""
+    step = max(1, 16_384 // max(n, 1))
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
@@ -232,10 +240,12 @@ def _verify_group(gt: GroupTable):
     T = gt.table
     if T is not None:
         for g in gt.generators:
-            right_g = T[:, g]
+            right_g = T[:, g].copy()  # z -> zg
+            cols = right_g.astype(np.intp)
             for rows in _row_blocks(n):
                 # (xy)g == x(yg) for x in rows and every y
-                if not np.array_equal(right_g[T[rows]], T[rows][:, right_g]):
+                block = T[rows]
+                if not np.array_equal(np.take(right_g, block), np.take(block, cols, axis=1)):
                     raise GroupBuildError(f"{gt.name}: multiplication is not associative")
     else:
         rng = np.random.default_rng(0)
@@ -530,8 +540,20 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     ).reshape(q * q, order)
     top, bottom = A * q + B, C * q + D
 
+    def product_index(top_prods, bottom_prods, out=None):
+        return np.take(lookup, top_prods.astype(np.int32) * (q * q) + bottom_prods, out=out)
+
     def mul_many(x, y):
-        return lookup[rowprod[top[x], y].astype(np.int32) * (q * q) + rowprod[bottom[x], y]]
+        return product_index(rowprod[top[x], y], rowprod[bottom[x], y])
+
+    table = None
+    if order <= MATERIALIZE_CAP:
+        # row x is rowprod's whole rows top[x] and bottom[x], combined
+        table = np.empty((order, order), dtype=np.int32)
+        for rows in _row_blocks(order):
+            product_index(
+                rowprod.take(top[rows], axis=0), rowprod.take(bottom[rows], axis=0), table[rows]
+            )
 
     # inverse of [a b; c d] is the adjugate [d -b; -c a], up to a scalar
     # (exactly, in SL2)
@@ -549,6 +571,7 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
         mul_many_fn=mul_many,
         inv=inv,
         meta={"q": q, "field": F, "codes": (A, B, C, D), "code_lookup": lookup},
+        table=table,
     )
 
 
@@ -630,9 +653,7 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     def mul_many(x, y):
         x1, x2 = x // n2, x % n2
         y1, y2 = y // n2, y % n2
-        return (
-            np.asarray(G.mul_many(x1, y1), np.int64) * n2 + H.mul_many(x2, y2)
-        ).astype(np.int32)
+        return (G.mul_many(x1, y1) * n2 + H.mul_many(x2, y2)).astype(np.int32, copy=False)
 
     inv = (G.inv.astype(np.int64)[:, None] * n2 + H.inv[None, :]).reshape(-1)
     return GroupTable(

@@ -3,7 +3,8 @@
 The digest is the sha256 of the canonical JSON encoding (sorted keys, no
 whitespace) of the result payload only; wall time and other run metadata
 live in the manifest and never enter the digest, so reruns with the same
-seed and version reproduce it bit for bit.
+seed and version reproduce it bit for bit.  A JSON report is written in the
+same canonical encoding, one line, which the C encoder produces.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def build_report(
 
 def write_report(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        text = canonical_json(report) + "\n"
     elif fmt == "csv":
         text = _csv_text(report["table"])
     else:

@@ -249,10 +249,13 @@ def test_main_writes_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["mappings", "--group", "C3", "--out", str(out)])
     assert code == EXIT_OK
-    report = json.loads(out.read_text())
+    text = out.read_text()
+    report = json.loads(text)
     assert report["schema_version"] == 1
-    assert report["manifest"]["digest"]
+    assert report["manifest"]["digest"] == result_digest(report["results"], report["table"])
     assert report["results"]["complete"]["status"] == "exists"
+    # compact: sorted keys, no whitespace, one line
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_main_csv_format(tmp_path):

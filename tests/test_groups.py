@@ -389,12 +389,17 @@ def test_construction_rejects_nonassociative_loop():
         )
 
 
-def test_construction_rejects_swapped_table_entries():
+# A5's 60 rows fit in one row block of the self-check; PSL2(7)'s 168 and
+# PSL2(8)'s 504 span several, so the swap in the last row tests a later block
+@pytest.mark.parametrize("text", ["A5", "PSL2(7)", "PSL2(8)"])
+def test_construction_rejects_swapped_table_entries(text):
     from autmap.groups import GroupTable
+    from autmap.parser import elaborate_text
 
-    G = build_psl2(7)
+    G = elaborate_text(text)
     table = G.require_table().copy()
-    table[5, [10, 20]] = table[5, [20, 10]]  # row 5 stays a permutation
+    last = G.n - 1
+    table[last, [10, 20]] = table[last, [20, 10]]  # the row stays a permutation
     with pytest.raises(GroupBuildError):
         GroupTable(
             kind=G.kind,
@@ -478,6 +483,53 @@ def test_matrix_enumeration_is_pinned(name):
 
     codes = np.ascontiguousarray(np.stack(elaborate_text(name).meta["codes"]), dtype="<i8")
     assert hashlib.sha256(codes.tobytes()).hexdigest()[:16] == MATRIX_CODE_HASHES[name]
+
+
+# sha256 prefixes of G.table as little-endian int32: every product of the
+# largest tables, as filled before the row-gather fill
+TABLE_HASHES = {
+    "PSL2(16)": "af2be5a44f8f767b",
+    "PSL2(17)": "5ea227b0bbc922c8",
+    "PSL2(19)": "34ab4c43308305ec",
+    "SL2(9)": "e02414b1fe1fb6d2",
+    "PGL2(9)": "8443473776590818",
+    "SL2(16)": "a7a9ea9b7c2a8784",
+    "A5 x A5": "a7e4b2fd3cc9a6a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_HASHES))
+def test_table_is_pinned(name):
+    import hashlib
+
+    from autmap.parser import elaborate_text
+
+    table = elaborate_text(name).require_table().astype("<i4")
+    assert hashlib.sha256(table.tobytes()).hexdigest()[:16] == TABLE_HASHES[name]
+
+
+@pytest.mark.parametrize("kind", ["SL2", "PSL2", "PGL2"])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_matrix_table_matches_on_demand_products(kind, q):
+    G = build_atomic(kind, q)
+    idx = np.arange(G.n, dtype=np.int64)
+    assert np.array_equal(G.require_table(), G._mul_many_fn(idx[:, None], idx[None, :]))
+
+
+@pytest.mark.parametrize("text", ["S4", "PSL2(7)", "A5 x C2"])
+def test_table_mul_many_matches_indexing(text):
+    from autmap.parser import elaborate_text
+
+    G = elaborate_text(text)
+    T = G.require_table()
+    n = G.n
+    rng = np.random.default_rng(1)
+    a, b = rng.integers(0, n, size=(2, 200))
+    assert G.mul_many(int(a[0]), int(b[0])) == T[a[0], b[0]]
+    assert G.mul_many(np.array(a[1]), np.array(b[1])) == T[a[1], b[1]]
+    assert np.array_equal(G.mul_many(a, b), T[a, b])
+    rows, cols = a[:7, None], np.arange(n)[None, :]
+    assert np.array_equal(G.mul_many(rows, cols), T[rows, cols])
 
 
 @pytest.mark.parametrize("text", ["PSL2(7)", "S7"])
