@@ -6,6 +6,15 @@ inverted-element witnesses, and searches for complete mappings and
 orthomorphisms, all exhaustively verifiable at desk scale.
 """
 
+import os
+
+# autmap does no floating-point linear algebra: its tables use integer takes
+# and sorts, and its few `@` products are int64. numpy starts OpenBLAS's
+# worker pool when it is imported, and the idle pool costs about 0.1 s of CPU
+# per process, so cap it at one thread unless the caller chose a value. This
+# has to run before the first submodule imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .automorphisms import (

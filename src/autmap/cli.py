@@ -11,6 +11,7 @@ bug, never new mathematics); 3 input error; 4 cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -457,7 +458,15 @@ def main(argv: list[str] | None = None) -> int:
         caps=caps,
         wall_time_s=time.time() - t0,
     )
-    write_report(report, args.format, args.out)
+    try:
+        write_report(report, args.format, args.out)
+    except OSError as e:
+        print(f"input error: cannot write report: {e}", file=sys.stderr)
+        if args.out is None:
+            # the unwritten bytes stay buffered, and the flush at exit would
+            # fail again (exit 120) unless stdout goes to devnull first
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     return code
 
 

@@ -65,6 +65,7 @@ def write_report(report: dict, fmt: str, out: str | None) -> None:
         raise ValueError(f"unknown format {fmt!r}")
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
     else:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import autmap
 from autmap.catalog import (
     CATALOG,
     EXTENDED_ENTRIES,
@@ -268,10 +273,28 @@ def test_main_csv_format(tmp_path):
     assert len(lines) > 1
 
 
-def test_main_input_errors():
+def test_main_input_errors(tmp_path):
     assert main(["spectrum", "--group", "A5 x", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["spectrum", "--group", "PSL2(6)", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "M11"]) == EXIT_INPUT_ERROR
+    assert main(["verify-theorem", "--scope", "A5", "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+    missing = str(tmp_path / "missing" / "r.json")
+    assert main(["verify-theorem", "--scope", "A5", "--out", missing]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_input_error():
+    # a buffered stdout fails at the flush, and again at exit unless dropped
+    src = str(Path(autmap.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "autmap.cli", "mappings", "--group", "C3", "--format", "csv"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert run.returncode == EXIT_INPUT_ERROR
+    assert run.stderr == "input error: cannot write report: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
-"""Every module-level import in ``src/autmap`` is used by its module.
+"""Every module-level import in ``src/autmap`` is used by its module, and
+importing the package starts no thread.
 
 No linter is part of the toolchain, so this parses each module with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,32 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+_THREADS_SCRIPT = """
+import os
+import autmap
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 0
+print(threads, os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+"""
+
+
+def _fresh_import(extra_env: dict[str, str]) -> tuple[int, str]:
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(SRC.parent), **extra_env}
+    run = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    threads, blas = run.stdout.split()
+    return int(threads), blas
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_thread_pool():
+    # numpy starts OpenBLAS's workers on import unless the variable is set
+    assert _fresh_import({}) == (1, "1")
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    assert _fresh_import({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
