@@ -36,8 +36,10 @@ from .groups import (
     _pack,
     center,
     closure_tree,
+    conjugations,
     element_orders,
     is_homomorphism,
+    span_mask,
 )
 
 BRUTE_CAP = 512
@@ -133,11 +135,10 @@ def inner_automorphism(G: GroupTable, g: int) -> Automorphism:
 def fixed_points(alpha: Automorphism) -> list[int]:
     """{x : alpha(x) = x}; always a subgroup containing the identity."""
     G = alpha.parent
-    fixed = np.nonzero(alpha.images == np.arange(G.n))[0]
-    prods = G.mul_many(np.repeat(fixed, len(fixed)), np.tile(fixed, len(fixed)))
-    member = np.zeros(G.n, dtype=bool)
-    member[fixed] = True
-    if not member[prods].all():
+    member = alpha.images == np.arange(G.n)
+    fixed = np.flatnonzero(member)
+    # closed exactly when the subgroup it generates is itself
+    if not np.array_equal(span_mask(G, fixed)[0], member):
         raise AutomorphismError("fixed-point set is not closed under multiplication")
     return [int(x) for x in fixed]
 
@@ -170,17 +171,11 @@ class _Row(Automorphism):
         return int(self._rep[G.mul(G.mul(c, x), G.inverse(c))])
 
 
-def _conjugations(G: GroupTable, cs, cols) -> np.ndarray:
-    """Row i: x -> c_i x c_i^-1 over the elements ``cols``."""
-    cs = np.asarray(cs, dtype=np.int64)[:, None]
-    return np.asarray(G.mul_many(G.mul_many(cs, cols), G.inv[cs]), dtype=np.int32)
-
-
 def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
     """x -> c x c^-1 over the elements 0..count-1 (all of G for None).  On a
     table it is read as c (c x^-1)^-1, which touches row c alone."""
     if G.table is None:
-        return _conjugations(G, [c], np.arange(G.n)[:count])[0]
+        return conjugations(G, [c], np.arange(G.n)[:count])[0]
     row = G.table[c]
     return row.take(G.inv.take(row.take(G.inv[:count])))
 
@@ -229,7 +224,7 @@ class AutGroup:
         images = np.stack([a.images for a in autos])
         cs = _conjugators(parent)
         width = _prefix_width(parent)
-        inner_prefix = _conjugations(parent, cs, np.arange(width))
+        inner_prefix = conjugations(parent, cs, np.arange(width))
         order = _lex_order(images[:, :width]).tolist()
         # in image order the first row met of each coset is its least; it
         # becomes a representative, and the prefixes of its coset are covered
@@ -257,7 +252,7 @@ class AutGroup:
         self.parent = parent
         self.reps = [Automorphism(parent, img, tag(r, 0)) for r, img in enumerate(images)]
         cols = np.arange(_prefix_width(parent), dtype=np.int64)
-        inner_prefix = _conjugations(parent, cs, cols)
+        inner_prefix = conjugations(parent, cs, cols)
         prefix = np.concatenate([rep.images[inner_prefix] for rep in self.reps])
         order = _lex_order(prefix)
         self._prefix = prefix[order]
@@ -349,7 +344,7 @@ def _consistent_tuples(T, gens, tuples, members, tree):
 def _orbit_least(G: GroupTable, masks: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row k: which of ``ys`` are the least of their orbit under conjugation
     by the subgroup ``masks[k]``."""
-    return np.stack([_conjugations(G, np.flatnonzero(m), ys).min(axis=0) for m in masks]) == ys
+    return np.stack([conjugations(G, np.flatnonzero(m), ys).min(axis=0) for m in masks]) == ys
 
 
 def _brute_aut_images(G: GroupTable) -> np.ndarray:

@@ -55,7 +55,7 @@ NONSOLVABLE_ENTRIES = [
 
 CATALOG = SOLVABLE_ENTRIES + NONSOLVABLE_ENTRIES
 
-EXTENDED_ENTRIES = [_entry(f"PSL2({q})", False) for q in (11, 13, 16, 17, 19)]
+EXTENDED_ENTRIES = [_entry(f"PSL2({q})", False) for q in (11, 13, 16, 17, 19, 23, 25, 27)]
 
 
 def catalog_names() -> list[str]:

@@ -369,7 +369,7 @@ def build_dihedral(n: int) -> GroupTable:
             return "e" if r == 0 else f"r{r}"
         return "s" if r == 0 else f"r{r}s"
 
-    inv = [reps.index(((n - r) % n, 0)) if s == 0 else 2 * r + 1 for (r, s) in reps]
+    inv = [2 * ((n - r) % n) if s == 0 else 2 * r + 1 for (r, s) in reps]
     return GroupTable(
         kind="dihedral",
         name=f"D{n}",
@@ -685,16 +685,22 @@ def element_orders(G: GroupTable) -> np.ndarray:
     raise RuntimeError(f"{G.name}: some element order does not divide {n}")
 
 
+def conjugations(G: GroupTable, cs, cols) -> np.ndarray:
+    """Row i: x -> c_i x c_i^-1 over the elements ``cols``."""
+    cs = np.asarray(cs, dtype=np.int64)[:, None]
+    return np.asarray(G.mul_many(G.mul_many(cs, cols), G.inv[cs]), dtype=np.int32)
+
+
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
     """Disjoint conjugacy classes, each sorted, ordered by least member."""
-    T = G.require_table()
     n = G.n
+    everyone = np.arange(n)
     unseen = np.ones(n, dtype=bool)
     classes = []
     for x in range(n):
         if not unseen[x]:
             continue
-        orbit = np.unique(T[T[:, x], G.inv])
+        orbit = np.unique(conjugations(G, everyone, [x]))
         unseen[orbit] = False
         classes.append([int(v) for v in orbit])
     return classes

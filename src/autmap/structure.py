@@ -1,6 +1,11 @@
 """Solvability, normal-subgroup lattice, radical, socle, and automorphism
 transport to quotients and subgroups.
 
+Every product goes through ``GroupTable.mul_many``, so none of this needs a
+materialized table.  Normality is checked on generators: gNg^-1 is a subgroup
+of the size of N, so gNg^-1 within N for every generator g makes each
+generator normalize N, and with it all of G.
+
 Normal subgroups are computed as the join-closure of the normal closures of
 single conjugacy classes: every normal subgroup is a union of classes, hence
 the join of the class closures it contains.  The lattice computation is
@@ -15,14 +20,14 @@ import numpy as np
 
 from .automorphisms import Automorphism
 from .errors import CapExceededError, GroupBuildError, InvarianceError
-from .groups import GroupTable, conjugacy_classes, is_homomorphism, span_mask
+from .groups import GroupTable, conjugacy_classes, conjugations, is_homomorphism, span_mask
 
 LATTICE_CAP = 1000
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted member indices."""
+    """A subgroup given by its member indices, strictly increasing."""
 
     parent: GroupTable
     members: tuple[int, ...]
@@ -31,6 +36,10 @@ class Subgroup:
         mem = np.array(self.members, dtype=np.int64)
         if len(mem) == 0 or mem[0] != 0:
             raise GroupBuildError("subgroup must contain the identity (index 0)")
+        if np.any(np.diff(mem) <= 0) or mem[-1] >= self.parent.n:
+            raise GroupBuildError(
+                f"subgroup members must be strictly increasing indices below {self.parent.n}"
+            )
         # the span of the members equals them exactly when they are closed
         # (inverses included: a finite closed set is a subgroup)
         if not np.array_equal(span_mask(self.parent, mem)[0], self.member_mask()):
@@ -45,12 +54,9 @@ class Subgroup:
         return mask
 
     def is_normal(self) -> bool:
+        """Whether every generator of the parent conjugates N into N."""
         G = self.parent
-        T = G.require_table()
-        mem = np.array(self.members, dtype=np.int64)
-        mask = self.member_mask()
-        conj = T[T[:, mem], G.inv[:, None]]  # conj[g, m] = g m g^-1
-        return bool(mask[conj].all())
+        return bool(self.member_mask()[conjugations(G, G.generators, self.members)].all())
 
     def is_characteristic(self, automorphisms) -> bool:
         """Invariance under every supplied automorphism."""
@@ -81,24 +87,26 @@ def derived_subgroup(G: GroupTable, H: Subgroup) -> Subgroup:
     """Subgroup generated by the commutators of H: the normal closure in H
     of the commutators of a generating set of H (modulo it, the generators
     commute, so H modulo it is abelian)."""
-    T = G.require_table()
-    mem = np.array(H.members, dtype=np.int64)
-    gens = np.array(span_mask(G, mem)[1], dtype=np.int64)
+    gens = np.array(span_mask(G, H.members)[1], dtype=np.int64)
     x, y = gens[:, None], gens[None, :]
-    comm = T[T[G.inv[x], G.inv[y]], T[x, y]].reshape(-1)
-    conj = T[T[mem[:, None], comm[None, :]], G.inv[mem][:, None]]
-    return subgroup_closure(G, np.unique(conj))
+    comm = G.mul_many(G.mul_many(G.inv[x], G.inv[y]), G.mul_many(x, y)).reshape(-1)
+    return subgroup_closure(G, np.unique(conjugations(G, H.members, comm)))
 
 
-def derived_series(G: GroupTable) -> list[Subgroup]:
-    """G >= G' >= G'' >= ..., ending at the trivial subgroup or at the first
-    repeated term (so a perfect group shows its order twice)."""
-    series = [full_subgroup(G)]
+def _derived_series_from(G: GroupTable, H: Subgroup) -> list[Subgroup]:
+    """H >= H' >= H'' >= ..., ending as ``derived_series`` does."""
+    series = [H]
     while True:
         nxt = derived_subgroup(G, series[-1])
         series.append(nxt)
         if len(nxt) == 1 or len(nxt) == len(series[-2]):
             return series
+
+
+def derived_series(G: GroupTable) -> list[Subgroup]:
+    """G >= G' >= G'' >= ..., ending at the trivial subgroup or at the first
+    repeated term (so a perfect group shows its order twice)."""
+    return _derived_series_from(G, full_subgroup(G))
 
 
 def is_solvable(G: GroupTable) -> bool:
@@ -112,13 +120,9 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
         raise CapExceededError(
             f"normal-subgroup lattice capped at order {LATTICE_CAP}, got {G.n}"
         )
-    class_closures = []
-    seen_closures = set()
-    for cls in conjugacy_classes(G):
-        sub = subgroup_closure(G, cls)
-        if sub.members not in seen_closures:
-            seen_closures.add(sub.members)
-            class_closures.append(sub)
+    class_closures = {
+        sub.members: sub for sub in (subgroup_closure(G, cls) for cls in conjugacy_classes(G))
+    }.values()
     found = {(0,): trivial_subgroup(G)}
     frontier = [trivial_subgroup(G)]
     while frontier:
@@ -140,9 +144,7 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
 def solvable_radical(G: GroupTable) -> Subgroup:
     """The largest solvable normal subgroup; verified to contain every
     solvable member of the computed lattice."""
-    solvables = [
-        N for N in normal_subgroups(G) if is_solvable(subgroup_table(G, N)[0])
-    ]
+    solvables = [N for N in normal_subgroups(G) if len(_derived_series_from(G, N)[-1]) == 1]
     radical = max(solvables, key=len)
     rad_set = set(radical.members)
     for N in solvables:
@@ -159,10 +161,7 @@ def socle(G: GroupTable) -> Subgroup:
         nset = set(N.members)
         if not any(set(M.members) < nset for M in subs):
             minimal.append(N)
-    gens: set[int] = set()
-    for N in minimal:
-        gens |= set(N.members)
-    return subgroup_closure(G, gens) if gens else trivial_subgroup(G)
+    return subgroup_closure(G, [x for N in minimal for x in N.members])
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +174,30 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     identity comes first."""
     if not N.is_normal():
         raise GroupBuildError("can only quotient by a normal subgroup")
-    T = G.require_table()
     mem = np.array(N.members, dtype=np.int64)
     proj = np.full(G.n, -1, dtype=np.int64)
     coset_reps = []
     for x in range(G.n):
         if proj[x] >= 0:
             continue
-        coset = np.sort(T[x, mem])
-        proj[coset] = len(coset_reps)
-        coset_reps.append(int(coset[0]))
-    m = len(coset_reps)
+        # x is the least member of its coset: a lesser one would have been
+        # met first and have projected x already
+        proj[G.mul_many(x, mem)] = len(coset_reps)
+        coset_reps.append(x)
     reps_arr = np.array(coset_reps, dtype=np.int64)
-    table = proj[T[reps_arr[:, None], reps_arr[None, :]]].astype(np.int32)
-    inv = proj[G.inv[reps_arr]]
     quot = GroupTable(
         kind="quotient",
         name=f"{G.name}/N{len(N)}",
         reps=[("coset", r) for r in coset_reps],
         labels=[f"[{G.labels[r]}]" for r in coset_reps],
-        mul_many_fn=lambda a, b: table[a, b],
-        inv=inv,
+        mul_many_fn=lambda a, b: proj[G.mul_many(reps_arr[a], reps_arr[b])],
+        inv=proj[G.inv[reps_arr]],
         meta={"parent": G, "subgroup": N, "coset_reps": coset_reps},
-        table=table,
     )
     # projection is a homomorphism with kernel exactly N
     if not is_homomorphism(G, quot, proj):
         raise GroupBuildError("quotient projection is not a homomorphism")
-    if sorted(int(v) for v in np.nonzero(proj == 0)[0]) != list(N.members):
+    if not np.array_equal(np.flatnonzero(proj == 0), mem):
         raise GroupBuildError("projection kernel is not N")
     return quot, proj
 
@@ -213,17 +208,14 @@ def subgroup_table(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     mem = np.array(N.members, dtype=np.int64)
     local = np.full(G.n, -1, dtype=np.int32)  # local[mem[i]] = i
     local[mem] = np.arange(len(mem), dtype=np.int32)
-    table = local[G.mul_many(mem[:, None], mem[None, :])]
-    inv = local[G.inv[mem]]
     sub = GroupTable(
         kind="subgroup",
         name=f"{G.name}|{len(N)}",
         reps=[G.reps[int(x)] for x in mem],
         labels=[G.labels[int(x)] for x in mem],
-        mul_many_fn=lambda a, b: table[a, b],
-        inv=inv,
+        mul_many_fn=lambda a, b: local[G.mul_many(mem[a], mem[b])],
+        inv=local[G.inv[mem]],
         meta={"parent": G, "subgroup": N, "local": local},
-        table=table,
     )
     return sub, mem
 

@@ -53,7 +53,7 @@ def test_catalog_lookup():
 
 def test_extended_psl2_entries_only_by_scope():
     names = [e.name for e in EXTENDED_ENTRIES]
-    assert names == ["PSL2(11)", "PSL2(13)", "PSL2(16)", "PSL2(17)", "PSL2(19)"]
+    assert names == [f"PSL2({q})" for q in (11, 13, 16, 17, 19, 23, 25, 27)]
     assert not set(names) & {e.name for e in CATALOG}
     assert all(get_entry(name).expr == name and not get_entry(name).solvable for name in names)
     assert set(names) <= set(catalog_names())
@@ -69,6 +69,14 @@ def test_verify_theorem_extended_scope(tmp_path):
         ("PSL2(11)", 1320, True),
         ("PSL2(13)", 2184, True),
     ]
+
+
+def test_verify_theorem_psl2_23_without_a_table():
+    # order 6072: solvability is decided through on-demand products
+    results, _, code = cmd_verify_theorem(["PSL2(23)"])
+    assert code == EXIT_OK
+    (g,) = results["groups"]
+    assert (g["order"], g["aut_size"], g["solvable"], g["all_fail"]) == (6072, 12144, False, True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,14 @@ import pytest
 from autmap.automorphisms import Automorphism, compute_aut, identity_automorphism
 from autmap.completeness import is_k_complete
 from autmap.errors import GroupBuildError, InvarianceError
-from autmap.groups import build_alternating, build_cyclic, build_symmetric
+from autmap.groups import (
+    build_alternating,
+    build_cyclic,
+    build_psl2,
+    build_sl2,
+    build_symmetric,
+    center,
+)
 from autmap.parser import elaborate_text
 from autmap.structure import (
     Subgroup,
@@ -35,6 +42,12 @@ def test_derived_series_a5_stabilizes():
 
 def test_derived_series_c6():
     assert [len(s) for s in derived_series(build_cyclic(6))] == [6, 1]
+
+
+def test_derived_series_without_a_table():
+    G = build_psl2(23)
+    assert not G.is_materialized
+    assert [len(s) for s in derived_series(G)] == [6072, 6072]
 
 
 def test_solvability():
@@ -70,6 +83,30 @@ def test_subgroup_validation():
         Subgroup(G, (0, 1))  # not closed
     with pytest.raises(GroupBuildError):
         Subgroup(G, (1, 5))  # no identity
+
+
+@pytest.mark.parametrize("members", [(0, 1, 1, 2), (0, 2, 1), (0, 3)])
+def test_subgroup_members_must_increase_within_the_group(members):
+    # repeated, unsorted, and an index equal to the order
+    with pytest.raises(GroupBuildError):
+        Subgroup(build_cyclic(3), members)
+
+
+def _normal_by_definition(N: Subgroup) -> bool:
+    G = N.parent
+    mask = N.member_mask()
+    return all(mask[G.mul(G.mul(g, m), G.inverse(g))] for g in range(G.n) for m in N.members)
+
+
+def test_is_normal_matches_the_definition():
+    for text in ("S4", "A5 x C2"):
+        G = elaborate_text(text)
+        for N in normal_subgroups(G):
+            assert N.is_normal() and _normal_by_definition(N)
+        non_normal = [subgroup_closure(G, [g]) for g in range(1, G.n, 7)]
+        non_normal = [H for H in non_normal if not _normal_by_definition(H)]
+        assert non_normal
+        assert not any(H.is_normal() for H in non_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +167,13 @@ def test_quotient_of_a5xc2_by_c2():
     N = next(N for N in normal_subgroups(G) if N.members == (0, 1))
     Q, _ = quotient(G, N)
     assert Q.n == 60
+    assert not is_solvable(Q)
+
+
+def test_quotient_of_sl2_17_by_its_center():
+    G = build_sl2(17)
+    Q, _ = quotient(G, Subgroup(G, tuple(center(G))))
+    assert Q.n == 2448
     assert not is_solvable(Q)
 
 
