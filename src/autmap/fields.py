@@ -26,6 +26,7 @@ commutative ring without zero divisors is a field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,22 +49,19 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^f with p prime, or raise GroupBuildError."""
+    """Decompose q = p^f with p prime, or raise GroupBuildError.  The least
+    divisor d >= 2 of q is prime, and trial division finds it below sqrt(q)
+    unless q itself is prime."""
     if q < 2:
         raise GroupBuildError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m == 1:
-                return p, f
-            raise GroupBuildError(f"{q} is not a prime power")
-    raise GroupBuildError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    f, m = 0, q
+    while m % p == 0:
+        m //= p
+        f += 1
+    if m != 1:
+        raise GroupBuildError(f"{q} is not a prime power")
+    return p, f
 
 
 def prime_factors(n: int) -> list[int]:

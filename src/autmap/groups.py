@@ -12,7 +12,9 @@ Conventions shared by the whole package:
     representations;
   * a materialized table is filled a block of rows at a time and read as one
     flat array, products a*b as ``table.ravel().take(a*n + b)``: a 1-D take
-    is numpy's fast gather, where 2-D fancy indexing is its slow one;
+    is numpy's fast gather, where 2-D fancy indexing is its slow one.  The
+    on-demand kernels gather the same way, from the flat permutation array
+    and the flat row-product table;
   * a 2x2 matrix product over GF(q) is exact, through the field's tables, but
     regrouped by rows: ``rowprod[u*q + v, y]`` packs the row vector (u, v)
     times matrix y, so the product of x and y packs as
@@ -25,15 +27,14 @@ Conventions shared by the whole package:
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
 
-Every constructed table is self-checked: two-sided identity and inverses,
-and associativity.  Associativity is exact on every materialized table:
-(xy)s = x(ys) for all x, y and every generator s extends to every z = w*s by
-induction on word length, (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) =
-x(y(ws)) (Light's test), checked a block of rows at a time by 1-D takes
-from the table.  Together the three make the table a group's, and
-a group's table is a Latin square, so that needs no check of its own.
-Groups multiplied on demand are checked on 10^5 seeded random triples
-instead.
+Every constructed group is self-checked: two-sided identity and inverses,
+and associativity.  Associativity is exact for every group, materialized or
+multiplied on demand: (xy)s = x(ys) for all x, y and every generator s
+extends to every z = w*s by induction on word length, (xy)(ws) = ((xy)w)s =
+(x(yw))s = x((yw)s) = x(y(ws)) (Light's test), checked a block of rows at a
+time by 1-D takes from that block's products, read from the table or
+multiplied on demand.  Together the three make the table a group's, and a
+group's table is a Latin square, so that needs no check of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .fields import FieldElement, FieldParams, field_for, prime_power
 
 ORDER_CAP = 10_000
 MATERIALIZE_CAP = 4096
-RANDOM_TRIPLES = 100_000
 PERM_DEGREE_CAP = 8
 MIN_PROJECTIVE_Q = 4
 
@@ -237,23 +237,13 @@ def _verify_group(gt: GroupTable):
         raise GroupBuildError(f"{gt.name}: index 0 is not a two-sided identity")
     if np.any(gt.mul_many(idx, gt.inv)) or np.any(gt.mul_many(gt.inv, idx)):
         raise GroupBuildError(f"{gt.name}: inverse table is wrong")
-    T = gt.table
-    if T is not None:
-        for g in gt.generators:
-            right_g = T[:, g].copy()  # z -> zg
-            cols = right_g.astype(np.intp)
-            for rows in _row_blocks(n):
-                # (xy)g == x(yg) for x in rows and every y
-                block = T[rows]
-                if not np.array_equal(np.take(right_g, block), np.take(block, cols, axis=1)):
-                    raise GroupBuildError(f"{gt.name}: multiplication is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        x, y, z = rng.integers(0, n, size=(3, RANDOM_TRIPLES))
-        if not np.array_equal(
-            gt.mul_many(gt.mul_many(x, y), z), gt.mul_many(x, gt.mul_many(y, z))
-        ):
-            raise GroupBuildError(f"{gt.name}: multiplication is not associative")
+    rights = [gt.mul_many(idx, g) for g in gt.generators]  # z -> zg
+    for rows in _row_blocks(n):
+        # (xy)g == x(yg) for x in rows, every y and every generator g
+        block = gt.table[rows] if gt.table is not None else gt.mul_many(idx[rows, None], idx)
+        for right_g in rights:
+            if not np.array_equal(np.take(right_g, block), np.take(block, right_g, axis=1)):
+                raise GroupBuildError(f"{gt.name}: multiplication is not associative")
 
 
 def closure_tree(G: GroupTable, gens):
@@ -436,8 +426,7 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     lookup[codes] = np.arange(len(perms), dtype=np.int32)
 
     def mul_many(a, b):
-        a, b = np.broadcast_arrays(a, b)
-        comp = np.take_along_axis(arr[a], arr[b], axis=-1)  # (p*q)(t) = p(q(t))
+        comp = arr.ravel().take(np.asarray(a)[..., None] * m + arr[b])  # (p*q)(t) = p(q(t))
         return lookup[comp.astype(np.int64) @ pows]
 
     inv_arr = np.argsort(arr, axis=1)
@@ -543,8 +532,11 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     def product_index(top_prods, bottom_prods, out=None):
         return np.take(lookup, top_prods.astype(np.int32) * (q * q) + bottom_prods, out=out)
 
+    # on demand, x*y reads rowprod at (top[x], y) and (bottom[x], y) by 1-D takes
+    flat, top_at, bottom_at = rowprod.ravel(), top * order, bottom * order
+
     def mul_many(x, y):
-        return product_index(rowprod[top[x], y], rowprod[bottom[x], y])
+        return product_index(flat.take(top_at[x] + y), flat.take(bottom_at[x] + y))
 
     table = None
     if order <= MATERIALIZE_CAP:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 
 from autmap import automorphisms
 from autmap.groups import GroupTable, closure_tree, element_orders
+from autmap.parser import elaborate_text
+
+
+@functools.cache
+def built(text: str) -> GroupTable:
+    """``elaborate_text(text)``, built once per session: groups are immutable,
+    so tests that only read a group share it."""
+    return elaborate_text(text)
 
 
 def element_order(G: GroupTable, x: int) -> int:

@@ -59,7 +59,7 @@ def test_non_multiplicative_map_rejected():
 
 @pytest.mark.parametrize("swap", [(1, 2), (4000, 5039)])
 def test_generator_check_on_demand_group(swap):
-    G = build_symmetric(7)  # 5040: checked without a table
+    G = helpers.built("S7")  # 5040: checked without a table
     assert not G.is_materialized
     alpha = inner_automorphism(G, 100)
     assert not alpha.is_identity()
@@ -191,7 +191,7 @@ def test_product_strategy_coprime():
 
 def test_auto_strategy_uncovered_group_is_a_cap():
     # valid groups above the brute cap with no structured route
-    for G in (build_symmetric(7), direct_product(build_alternating(5), build_alternating(5))):
+    for G in (helpers.built("S7"), helpers.built("A5 x A5")):
         with pytest.raises(CapExceededError, match="512"):
             compute_aut(G)
 

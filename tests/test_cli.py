@@ -364,6 +364,12 @@ def test_main_uncovered_aut_strategy_exits_cap_exceeded():
     assert main(["spectrum", "--group", group, "--k-min", "1", "--k-max", "1"]) == EXIT_CAP_EXCEEDED
 
 
+def test_large_prime_field_parameter_exits_cap_exceeded():
+    # the order formula needs q = p^f first; factoring 10^9 + 7 is quick
+    argv = ["spectrum", "--group", "SL2(1000000007)", "--k-min", "1", "--k-max", "1"]
+    assert main(argv) == EXIT_CAP_EXCEEDED
+
+
 def test_brute_aut_search_expansion_is_capped():
     # 64 elements, but 234,360 surviving tuples times 63 candidates at the
     # fourth generator: refused before the expansion is allocated

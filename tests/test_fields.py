@@ -15,6 +15,9 @@ def test_prime_power_decomposition():
     assert prime_power(4) == (2, 2)
     assert prime_power(27) == (3, 3)
     assert prime_power(17) == (17, 1)
+    assert prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert prime_power(3**20) == (3, 20)
     for bad in (1, 6, 12, 15):
         with pytest.raises(GroupBuildError):
             prime_power(bad)

@@ -25,7 +25,7 @@ from autmap.groups import (
     element_orders,
     sylow2_profile,
 )
-from helpers import closure, element_order, find_isomorphism
+from helpers import built, closure, element_order, find_isomorphism
 
 # ---------------------------------------------------------------------------
 # orders of the atomic constructors
@@ -45,7 +45,7 @@ def test_atomic_orders():
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_psl2_order_formula_vs_enumeration(q):
-    G = build_psl2(q)
+    G = built(f"PSL2({q})")
     assert G.n == q * (q * q - 1) // math.gcd(2, q - 1)
 
 
@@ -234,7 +234,7 @@ def test_matrix_table_matches_reference(build, q):
 
 @pytest.mark.parametrize("build, q", [(build_psl2, 23), (build_sl2, 17), (build_pgl2, 19)])
 def test_on_demand_matrix_products_match_reference(build, q):
-    G = build(q)
+    G = built(f"{build.__name__.removeprefix('build_').upper()}({q})")
     assert not G.is_materialized
     product = _reference_mul(G)
     x, y = np.random.default_rng(q).integers(0, G.n, size=(2, 2000))
@@ -285,7 +285,7 @@ def test_psl2_dets_are_squares():
 
 
 def test_on_demand_multiplication():
-    G = build_symmetric(7)  # 5040 > materialization cap
+    G = built("S7")  # 5040 > materialization cap
     assert not G.is_materialized
     with pytest.raises(CapExceededError):
         G.require_table()
@@ -300,11 +300,11 @@ def test_on_demand_multiplication():
 def test_permutation_products_broadcast_a_scalar_operand():
     # on demand (S7) the permutation product itself runs; on a materialized
     # group (A5) the table answers, and the product function must agree
-    S7 = build_symmetric(7)
+    S7 = built("S7")
     xs = np.arange(5)
     assert S7.mul_many(xs, 3).tolist() == [S7.mul(int(x), 3) for x in xs]
     assert S7.mul_many(3, xs).tolist() == [S7.mul(3, int(x)) for x in xs]
-    A5 = build_alternating(5)
+    A5 = built("A5")
     T = A5.require_table()
     assert np.array_equal(A5._mul_many_fn(np.arange(A5.n), 7), T[:, 7])
     assert np.array_equal(A5._mul_many_fn(7, np.arange(A5.n)), T[7])
@@ -312,11 +312,9 @@ def test_permutation_products_broadcast_a_scalar_operand():
 
 
 def test_on_demand_direct_product():
-    from autmap.parser import elaborate_text
-
-    G = elaborate_text("PSL2(7) x C25")  # 4200 > materialization cap
+    G = built("PSL2(7) x C25")  # 4200 > materialization cap
     assert not G.is_materialized
-    H = elaborate_text("PSL2(7)")
+    H = built("PSL2(7)")
     # componentwise: (i, j) has index i*25 + j
     for i, j in ((3, 7), (100, 24), (167, 0)):
         x = i * 25 + j
@@ -339,9 +337,7 @@ def test_generators_generate_every_catalog_group():
 
 @pytest.mark.parametrize("text", ["S7", "PSL2(7) x C25"])
 def test_generators_generate_on_demand_groups(text):
-    from autmap.parser import elaborate_text
-
-    G = elaborate_text(text)
+    G = built(text)
     assert not G.is_materialized
     assert G.generators[0] == 1  # the least non-identity index comes first
     assert closure_mask(G, G.generators).all()
@@ -412,6 +408,31 @@ def test_construction_rejects_swapped_table_entries(text):
         )
 
 
+@pytest.mark.parametrize("text", ["S7", "PSL2(7) x C25"])
+def test_construction_rejects_swapped_on_demand_products(text):
+    # products (5, 10) and (5, 30) swapped: 10 and 30 are not 5's inverse
+    # and no row or column is the identity's, so only associativity can fail
+    from autmap.groups import GroupTable
+
+    G = built(text)
+    assert not G.is_materialized and G.inverse(5) not in (10, 30)
+    base = G._mul_many_fn
+
+    def swapped(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        return base(a, np.where(a == 5, np.select([b == 10, b == 30], [30, 10], b), b))
+
+    with pytest.raises(GroupBuildError, match="not associative"):
+        GroupTable(
+            kind=G.kind,
+            name="swapped",
+            reps=G.reps,
+            labels=G.labels,
+            mul_many_fn=swapped,
+            inv=G.inv,
+        )
+
+
 def _table_group(G, table, name):
     from autmap.groups import GroupTable
 
@@ -479,9 +500,7 @@ MATRIX_CODE_HASHES = {
 def test_matrix_enumeration_is_pinned(name):
     import hashlib
 
-    from autmap.parser import elaborate_text
-
-    codes = np.ascontiguousarray(np.stack(elaborate_text(name).meta["codes"]), dtype="<i8")
+    codes = np.ascontiguousarray(np.stack(built(name).meta["codes"]), dtype="<i8")
     assert hashlib.sha256(codes.tobytes()).hexdigest()[:16] == MATRIX_CODE_HASHES[name]
 
 
@@ -534,9 +553,7 @@ def test_table_mul_many_matches_indexing(text):
 
 @pytest.mark.parametrize("text", ["PSL2(7)", "S7"])
 def test_closure_tree_invariants(text):
-    from autmap.parser import elaborate_text
-
-    G = elaborate_text(text)
+    G = built(text)
     gens = np.asarray(G.generators, dtype=np.int64)
     mask, members, (src, genpos) = closure_tree(G, gens)
     assert members[0] == 0

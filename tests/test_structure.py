@@ -7,8 +7,6 @@ from autmap.errors import GroupBuildError, InvarianceError
 from autmap.groups import (
     build_alternating,
     build_cyclic,
-    build_psl2,
-    build_sl2,
     build_symmetric,
     center,
 )
@@ -26,6 +24,7 @@ from autmap.structure import (
     transport_aut,
     trivial_subgroup,
 )
+from helpers import built
 
 # ---------------------------------------------------------------------------
 # derived series and solvability
@@ -45,7 +44,7 @@ def test_derived_series_c6():
 
 
 def test_derived_series_without_a_table():
-    G = build_psl2(23)
+    G = built("PSL2(23)")
     assert not G.is_materialized
     assert [len(s) for s in derived_series(G)] == [6072, 6072]
 
@@ -171,7 +170,7 @@ def test_quotient_of_a5xc2_by_c2():
 
 
 def test_quotient_of_sl2_17_by_its_center():
-    G = build_sl2(17)
+    G = built("SL2(17)")
     Q, _ = quotient(G, Subgroup(G, tuple(center(G))))
     assert Q.n == 2448
     assert not is_solvable(Q)
