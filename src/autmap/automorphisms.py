@@ -64,12 +64,9 @@ class Automorphism:
             raise AutomorphismError("identity is not fixed")
         if not np.array_equal(np.bincount(self.images, minlength=n), np.ones(n, dtype=np.int64)):
             raise AutomorphismError("images are not a bijection")
-        self._check_multiplicative()
-        self.images.setflags(write=False)
-
-    def _check_multiplicative(self):
-        if not is_homomorphism(self.parent, self.parent, self.images):
+        if not is_homomorphism(parent, parent, self.images):
             raise AutomorphismError("map is not multiplicative")
+        self.images.setflags(write=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -187,7 +184,7 @@ def _conjugators(G: GroupTable) -> np.ndarray:
     least = idx
     for z in center(G):
         least = np.minimum(least, G.mul_many(idx, z))
-    return np.unique(least)
+    return np.flatnonzero(np.bincount(least))
 
 
 def _prefix_width(G: GroupTable) -> int:

@@ -10,6 +10,10 @@ Conventions shared by the whole package:
   * the full n x n multiplication table is materialized for n <= 4096; larger
     groups multiply on demand through vectorized arithmetic on the canonical
     representations;
+  * tables, and the index lookups that fill them, are int16 (``TABLE_DTYPE``):
+    every index is below ``ORDER_CAP`` < 2^15, so a table takes half the bytes
+    of int32.  Values read from one are widened before arithmetic that could
+    leave that range, as ``GroupTable.mul_many`` widens to int64;
   * a materialized table is filled a block of rows at a time and read as one
     flat array, products a*b as ``table.ravel().take(a*n + b)``: a 1-D take
     is numpy's fast gather, where 2-D fancy indexing is its slow one.  The
@@ -51,6 +55,7 @@ from .fields import FieldElement, FieldParams, field_for, prime_power
 
 ORDER_CAP = 10_000
 MATERIALIZE_CAP = 4096
+TABLE_DTYPE = np.int16  # holds every index, since ORDER_CAP < 2**15
 PERM_DEGREE_CAP = 8
 MIN_PROJECTIVE_Q = 4
 
@@ -219,21 +224,17 @@ def _row_blocks(n: int):
 def _materialize(n: int, mul_many_fn) -> np.ndarray:
     """The n x n table, a block of rows at a time; every builder's
     ``mul_many`` takes broadcastable index arrays."""
-    table = np.empty((n, n), dtype=np.int32)
-    cols = np.arange(n, dtype=np.int64)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
+    idx = np.arange(n, dtype=np.int64)
     for rows in _row_blocks(n):
-        r = np.arange(rows.start, rows.stop, dtype=np.int64)
-        table[rows] = mul_many_fn(r[:, None], cols[None, :])
+        table[rows] = mul_many_fn(idx[rows, None], idx)
     return table
 
 
 def _verify_group(gt: GroupTable):
     n = gt.n
     idx = np.arange(n, dtype=np.int64)
-    zero = np.zeros(n, dtype=np.int64)
-    if not np.array_equal(gt.mul_many(zero, idx), idx) or not np.array_equal(
-        gt.mul_many(idx, zero), idx
-    ):
+    if not (np.array_equal(gt.mul_many(0, idx), idx) and np.array_equal(gt.mul_many(idx, 0), idx)):
         raise GroupBuildError(f"{gt.name}: index 0 is not a two-sided identity")
     if np.any(gt.mul_many(idx, gt.inv)) or np.any(gt.mul_many(gt.inv, idx)):
         raise GroupBuildError(f"{gt.name}: inverse table is wrong")
@@ -393,7 +394,7 @@ def build_quaternion8() -> GroupTable:
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     pos = {r: k for k, r in enumerate(reps)}
     table = np.array(
-        [[pos[_q8_mul(x, y)] for y in reps] for x in reps], dtype=np.int32
+        [[pos[_q8_mul(x, y)] for y in reps] for x in reps], dtype=TABLE_DTYPE
     )
 
     def mul_many(a, b):
@@ -422,8 +423,8 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     arr = np.array(perms, dtype=np.int8)
     pows = (m ** np.arange(m)).astype(np.int64)
     codes = arr.astype(np.int64) @ pows
-    lookup = np.full(m**m, -1, dtype=np.int32)
-    lookup[codes] = np.arange(len(perms), dtype=np.int32)
+    lookup = np.full(m**m, -1, dtype=TABLE_DTYPE)
+    lookup[codes] = np.arange(len(perms))
 
     def mul_many(a, b):
         comp = arr.ravel().take(np.asarray(a)[..., None] * m + arr[b])  # (p*q)(t) = p(q(t))
@@ -515,10 +516,8 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # kinds every nonzero scalar multiple of the representative, so a
     # product needs no canonicalization; for SL2 the matrix itself.
     scalars = np.arange(1, q) if projective else np.ones(1, dtype=np.int64)
-    lookup = np.full(q**4, -1, dtype=np.int32)
-    lookup[_pack(*(MUL[x[:, None], scalars] for x in (A, B, C, D)), q)] = np.arange(
-        order, dtype=np.int32
-    )[:, None]
+    lookup = np.full(q**4, -1, dtype=TABLE_DTYPE)
+    lookup[_pack(*(MUL[x[:, None], scalars] for x in (A, B, C, D)), q)] = np.arange(order)[:, None]
 
     # rowprod[u*q + v, y] packs the row vector (u, v) times matrix y; int16
     # holds it, since every entry is below q^2
@@ -541,7 +540,7 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     table = None
     if order <= MATERIALIZE_CAP:
         # row x is rowprod's whole rows top[x] and bottom[x], combined
-        table = np.empty((order, order), dtype=np.int32)
+        table = np.empty((order, order), dtype=TABLE_DTYPE)
         for rows in _row_blocks(order):
             product_index(
                 rowprod.take(top[rows], axis=0), rowprod.take(bottom[rows], axis=0), table[rows]
@@ -645,7 +644,8 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     def mul_many(x, y):
         x1, x2 = x // n2, x % n2
         y1, y2 = y // n2, y % n2
-        return (G.mul_many(x1, y1) * n2 + H.mul_many(x2, y2)).astype(np.int32, copy=False)
+        # exact in a factor's dtype: the sum is an index below n1 * n2 <= ORDER_CAP
+        return G.mul_many(x1, y1) * n2 + H.mul_many(x2, y2)
 
     inv = (G.inv.astype(np.int64)[:, None] * n2 + H.inv[None, :]).reshape(-1)
     return GroupTable(
@@ -692,7 +692,7 @@ def conjugacy_classes(G: GroupTable) -> list[list[int]]:
     for x in range(n):
         if not unseen[x]:
             continue
-        orbit = np.unique(conjugations(G, everyone, [x]))
+        orbit = np.flatnonzero(np.bincount(conjugations(G, everyone, [x]).ravel()))
         unseen[orbit] = False
         classes.append([int(v) for v in orbit])
     return classes

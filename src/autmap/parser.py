@@ -37,6 +37,9 @@ class Atom:
     param: int | None
 
     def __str__(self):
+        # the matrix kinds print as GroupTable.name does: PSL2(31), not PSL231
+        if self.name in ("SL2", "PSL2", "PGL2"):
+            return f"{self.name}({self.param})"
         return self.name if self.param is None else f"{self.name}{self.param}"
 
 

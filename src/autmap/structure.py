@@ -90,7 +90,7 @@ def derived_subgroup(G: GroupTable, H: Subgroup) -> Subgroup:
     gens = np.array(span_mask(G, H.members)[1], dtype=np.int64)
     x, y = gens[:, None], gens[None, :]
     comm = G.mul_many(G.mul_many(G.inv[x], G.inv[y]), G.mul_many(x, y)).reshape(-1)
-    return subgroup_closure(G, np.unique(conjugations(G, H.members, comm)))
+    return subgroup_closure(G, np.flatnonzero(np.bincount(conjugations(G, H.members, comm).ravel())))
 
 
 def _derived_series_from(G: GroupTable, H: Subgroup) -> list[Subgroup]:

@@ -339,6 +339,13 @@ def test_main_unknown_catalog_group_message_is_unquoted(capsys):
     assert capsys.readouterr().err.startswith("input error: unknown catalog group 'X'")
 
 
+def test_cap_error_names_a_matrix_atom_with_parentheses(capsys):
+    argv = ["spectrum", "--group", "PSL2(31)", "--k-min", "1", "--k-max", "1"]
+    assert main(argv) == EXIT_CAP_EXCEEDED
+    err = capsys.readouterr().err
+    assert err == "cap exceeded: PSL2(31): predicted order 14880 exceeds cap 10000\n"
+
+
 def test_main_cap_exceeded():
     assert main(["mappings", "--group", "S8"]) == EXIT_CAP_EXCEEDED
     assert main(["mappings", "--group", "A5", "--cap", "10"]) == EXIT_CAP_EXCEEDED

@@ -565,3 +565,69 @@ def test_closure_tree_invariants(text):
     assert set(members.tolist()) == closure(G, gens.tolist())
     assert len(members) == mask.sum()
     assert np.array_equal(np.nonzero(mask)[0], np.sort(members))
+
+
+# ---------------------------------------------------------------------------
+# int16 tables
+# ---------------------------------------------------------------------------
+
+
+def test_every_index_fits_int16():
+    from autmap.groups import MATERIALIZE_CAP, ORDER_CAP
+
+    assert ORDER_CAP < 2**15 and MATERIALIZE_CAP < 2**15
+
+
+def _catalog_exprs():
+    from autmap.catalog import CATALOG
+
+    return [entry.expr for entry in CATALOG]
+
+
+@pytest.mark.parametrize(
+    "text", _catalog_exprs() + [f"PSL2({q})" for q in (11, 13, 16, 17, 19)] + ["SL2(5)/Z"]
+)
+def test_tables_hold_int16(text):
+    if text == "SL2(5)/Z":
+        from autmap.structure import quotient, subgroup_closure
+
+        S = built("SL2(5)")
+        G = quotient(S, subgroup_closure(S, center(S)))[0]
+    else:
+        G = built(text)
+    assert G.table.dtype == np.int16
+    assert G.table.nbytes == 2 * G.n * G.n
+
+
+def test_mul_many_widens_int16_operands():
+    # a * n + b overflows int16 at these indices, so mul_many must widen first
+    G = built("PSL2(16)")
+    T = G.require_table()
+    a, b = T[0, -64:], T[-64:, 0]  # int16 reads of the 64 largest indices
+    assert a.dtype == np.int16 and int(a[-1]) == G.n - 1
+    expected = [[int(T[int(x), int(y)]) for y in b] for x in a]
+    assert G.mul_many(a[:, None], b[None, :]).tolist() == expected
+    assert G.mul_many(a, b[::-1]).tolist() == [int(T[int(x), int(y)]) for x, y in zip(a, b[::-1])]
+
+
+def test_on_demand_product_over_an_int16_factor():
+    G, H, C = built("PSL2(8) x C19"), built("PSL2(8)"), built("C19")
+    assert not G.is_materialized and H.table.dtype == np.int16
+    rows, cols = np.arange(G.n - 19, G.n), np.arange(G.n)
+    expected = H.table.astype(np.int64)[rows // 19][:, cols // 19] * 19 + C.table[
+        (rows % 19)[:, None], cols % 19
+    ]
+    assert np.array_equal(G.mul_many(rows[:, None], cols), expected)
+
+
+def test_psl2_16_build_peak_memory():
+    # the int16 table is 31.8 MiB; with int32 tables the build peaked at 67.5 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        build_psl2(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

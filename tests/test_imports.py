@@ -1,5 +1,5 @@
-"""Every module-level import in ``src/autmap`` is used by its module, and
-importing the package starts no thread.
+"""Every module-level import in ``src/autmap`` is used by its module,
+importing the package starts no thread, and no command imports numpy.ma.
 
 No linter is part of the toolchain, so this parses each module with ``ast``.
 ``__init__.py`` is skipped: its imports are the package's public names."""
@@ -65,3 +65,30 @@ def test_import_starts_no_blas_thread_pool():
 
 def test_import_keeps_a_preset_blas_thread_count():
     assert _fresh_import({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+_NUMPY_MA_SCRIPT = """
+import sys
+from autmap.cli import main
+print(main(sys.argv[1:]), "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mappings", "--group", "A4"],
+        ["verify-theorem", "--scope", "A5"],
+        ["spectrum", "--group", "A5", "--k-min", "-1", "--k-max", "1"],
+        ["witness", "wreath", "--base", "A5", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_do_not_import_numpy_ma(argv, tmp_path):
+    # a plain np.unique imports numpy.ma, about 10 ms per process
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_SCRIPT, *argv, "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert run.stdout.split() == ["0", "False"]

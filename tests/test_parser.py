@@ -49,9 +49,19 @@ def test_syntax_error_offsets():
 
 
 def test_roundtrip_through_canonical_printer():
-    for text in ("A5 x C3", "PSL2(9)", "Q8 x Q8", "C2 x (C3 x C5)", "(S4 x A4) x D6"):
+    for text in ("A5 x C3", "PSL2(9)", "Q8 x Q8", "C2 x (C3 x C5)", "(S4 x A4) x D6",
+                 "C5 x PSL2(31)", "sl2 7 x pgl2(9)"):
         once = parse_group_expr(text)
         assert parse_group_expr(str(once)) == once
+
+
+def test_canonical_printer_matches_group_names():
+    # parameterised matrix atoms keep their parentheses, as GroupTable.name has them
+    assert str(parse_group_expr("C5 x psl2 31")) == "C5 x PSL2(31)"
+    assert str(parse_group_expr("SL2 5 x PGL2(9)")) == "SL2(5) x PGL2(9)"
+    assert [str(parse_group_expr(t)) for t in ("c5", "S(4)", "D12", "q8")] == ["C5", "S4", "D12", "Q8"]
+    for text in ("SL2(5)", "PSL2(7)", "PGL2(5)", "A5 x C3", "Q8 x S4"):
+        assert str(parse_group_expr(text)) == elaborate_text(text).name
 
 
 def test_predicted_order_matches_elaboration():
