@@ -62,11 +62,10 @@ K_RANGE_LIMIT = 16
 
 
 def _reverify_verdict(G, alpha, verdict) -> None:
-    """Re-check a completeness certificate right before emission."""
-    if verdict.verdict:
-        if np.count_nonzero(np.bincount(verdict.image)) != G.n:
-            raise TheoremViolationError("emitted success certificate failed re-verification")
-    else:
+    """Re-check a failure certificate by scalar products right before
+    emission, a route independent of the vectors that found it.  A success
+    certificate was re-checked when its verdict was built."""
+    if not verdict.verdict:
         g, h = verdict.collision
         lhs = G.mul(G.power(g, verdict.k), alpha(g))
         rhs = G.mul(G.power(h, verdict.k), alpha(h))

@@ -16,8 +16,8 @@ from math import gcd
 import numpy as np
 
 from .automorphisms import Automorphism
-from .errors import GroupBuildError
-from .groups import GroupTable
+from .errors import TheoremViolationError
+from .groups import GroupTable, conjugations
 
 
 @dataclass
@@ -27,7 +27,7 @@ class CompletenessVerdict:
     On success the certificate is the full displacement image; on failure it
     is a colliding pair (g, h) with g^k a(g) = h^k a(h), and ``image`` is the
     displacement over a prefix of G that contains both.  Both are re-checked
-    at construction time.
+    at construction time; a certificate that fails is a bug.
     """
 
     group_name: str
@@ -41,11 +41,11 @@ class CompletenessVerdict:
         n = len(self.image)
         if self.verdict:
             if self.collision is not None or np.count_nonzero(np.bincount(self.image)) != n:
-                raise GroupBuildError("success certificate is not a bijection")
+                raise TheoremViolationError("success certificate is not a bijection")
         else:
             g, h = self.collision
             if g == h or self.image[g] != self.image[h]:
-                raise GroupBuildError("failure certificate does not collide")
+                raise TheoremViolationError("failure certificate does not collide")
 
 
 SCAN_PREFIX = 70  # the first collision of a failing row usually falls this early
@@ -100,16 +100,22 @@ def inverted_set(beta: Automorphism) -> list[int]:
     return [int(x) for x in np.nonzero(beta.images == beta.parent.inv)[0]]
 
 
-def inversion_criterion(alpha: Automorphism, inner: list[Automorphism]) -> bool:
+def first_inverted(G: GroupTable, images: np.ndarray) -> tuple[int, int] | None:
+    """The least c, then the least x != 1, such that images o iota_c inverts
+    x, where iota_c is x -> c x c^-1; None when no member of the coset
+    images*Inn(G) inverts a nontrivial element.  One conjugation at a time."""
+    everyone = np.arange(G.n)
+    for c in range(G.n):
+        hits = np.flatnonzero(images[conjugations(G, [c], everyone)[0]] == G.inv)
+        if len(hits) > 1:  # hits[0] is the identity
+            return c, int(hits[1])
+    return None
+
+
+def inversion_criterion(alpha: Automorphism) -> bool:
     """True iff no member of the coset alpha*Inn(G) inverts a nontrivial
     element (the reformulation of 1-completeness)."""
-    inv = alpha.parent.inv
-    for iota in inner:
-        composed = alpha.images[iota.images]
-        hits = np.nonzero(composed == inv)[0]
-        if len(hits) != 1 or hits[0] != 0:
-            return False
-    return True
+    return first_inverted(alpha.parent, alpha.images) is None
 
 
 def is_fixed_point_free_equiv(alpha: Automorphism) -> tuple[bool, bool]:

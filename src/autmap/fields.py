@@ -26,7 +26,6 @@ commutative ring without zero divisors is a field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,34 +36,8 @@ from .errors import FieldDomainError, GroupBuildError, UnsupportedQueryError
 MAX_FIELD_SIZE = 32
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^f with p prime, or raise GroupBuildError.  The least
-    divisor d >= 2 of q is prime, and trial division finds it below sqrt(q)
-    unless q itself is prime."""
-    if q < 2:
-        raise GroupBuildError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    f, m = 0, q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise GroupBuildError(f"{q} is not a prime power")
-    return p, f
-
-
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -76,6 +49,17 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """Decompose q = p^f with p prime, or raise GroupBuildError."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise GroupBuildError(f"{q} is not a prime power")
+    p, f = factors[0], 1
+    while p**f < q:
+        f += 1
+    return p, f
 
 
 def _digits(p: int, f: int) -> np.ndarray:
@@ -129,7 +113,7 @@ class FieldParams:
     """
 
     def __init__(self, p: int, f: int):
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise GroupBuildError(f"characteristic {p} is not prime")
         if f < 1:
             raise GroupBuildError(f"extension degree must be >= 1, got {f}")

@@ -101,24 +101,6 @@ def perm_label(images) -> str:
     return "".join(cycles) if cycles else "id"
 
 
-def perm_parity(images) -> int:
-    """0 for even, 1 for odd."""
-    m = len(images)
-    seen = [False] * m
-    parity = 0
-    for start in range(m):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 class GroupTable:
     """A fully constructed finite group on indices 0..n-1.
 
@@ -416,11 +398,12 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     letter = "S" if kind == "symmetric" else "A"
     name = f"{letter}{m}"
     check_order_cap(name, predicted_atomic_order(letter, m))
-    perms = [
-        p for p in itertools.permutations(range(m)) if kind == "symmetric" or perm_parity(p) == 0
-    ]
     # lexicographic order puts the identity first already
-    arr = np.array(perms, dtype=np.int8)
+    arr = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    if kind == "alternating":
+        i, j = np.triu_indices(m, 1)  # even: an even number of inversions
+        arr = arr[(arr[:, i] > arr[:, j]).sum(axis=1) % 2 == 0]
+    perms = [tuple(p) for p in arr.tolist()]
     pows = (m ** np.arange(m)).astype(np.int64)
     codes = arr.astype(np.int64) @ pows
     lookup = np.full(m**m, -1, dtype=TABLE_DTYPE)

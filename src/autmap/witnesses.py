@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphisms import Automorphism, _psl2_index_map, frobenius_field_aut, psl2_map
+from .completeness import first_inverted
 from .errors import GroupBuildError, TheoremViolationError
-from .groups import GroupTable, _matrix_mul_codes, build_psl2, conjugacy_classes
+from .groups import GroupTable, _matrix_mul_codes, build_psl2, conjugacy_classes, conjugations
 from .structure import subgroup_closure
 
 WITNESS_MAX_COPIES = 6
@@ -132,15 +133,16 @@ def find_inverted_witness(w: WreathAut) -> InvertedWitness:
     if not _is_nonabelian_simple(S):
         raise GroupBuildError("witness construction needs a nonabelian simple base")
     cycle = _sigma_cycle(w)
-    k = len(cycle)
-    gamma = np.arange(S.n, dtype=np.int32)
-    for c in cycle:
-        gamma = w.alphas[c].images[gamma]
+    everyone = np.arange(S.n)
+    prefix = everyone  # the composite of the alphas along the cycle but its last
+    for c in cycle[:-1]:
+        prefix = w.alphas[c].images[prefix]
+    gamma = w.alphas[cycle[-1]].images[prefix]
 
     twisted_coord = None
     alphas = list(w.alphas)
-    if k % 2 == 0:
-        fixed = np.nonzero(gamma == np.arange(S.n))[0]
+    if len(cycle) % 2 == 0:
+        fixed = np.nonzero(gamma == everyone)[0]
         fixed = fixed[fixed != 0]
         if len(fixed) == 0:
             raise TheoremViolationError(
@@ -148,38 +150,25 @@ def find_inverted_witness(w: WreathAut) -> InvertedWitness:
             )
         s_k = int(fixed[0])
     else:
-        T = S.require_table()
-        inner = T[T, S.inv[:, None]]  # row g = images of conjugation by g
-        composed = gamma[inner]  # row g = gamma o (conjugation by g)
-        inverts = composed[:, 1:] == S.inv[None, 1:]
-        rows = np.nonzero(inverts.any(axis=1))[0]
-        if len(rows) == 0:
+        found = first_inverted(S, gamma)
+        if found is None:
             raise TheoremViolationError(
                 f"no member of the composite's inner coset inverts anything on {S.name}"
             )
-        g = int(rows[0])
-        s_k = int(np.nonzero(inverts[g])[0][0]) + 1
-        delta = composed[g]
-        # fold the twist into the last cycle coordinate: beta_k = delta o
-        # (beta_{k-1} ... beta_1)^-1, which lies in alpha_k Inn(S)
-        prefix = np.arange(S.n, dtype=np.int32)
-        for c in cycle[:-1]:
-            prefix = alphas[c].images[prefix]
-        prefix_inv = np.empty_like(prefix)
-        prefix_inv[prefix] = np.arange(S.n, dtype=np.int32)
+        g, s_k = found
+        # fold the twist gamma o iota_g into the last cycle coordinate:
+        # beta_k = alpha_k o iota_prefix(g), so beta_k o prefix = gamma o iota_g
         twisted_coord = cycle[-1]
-        beta_k = Automorphism(S, delta[prefix_inv], provenance="composed")
-        shifted = alphas[twisted_coord].inverse().images[beta_k.images]
-        if not (shifted == inner).all(axis=1).any():
-            raise TheoremViolationError("folded twist is not an inner automorphism")
+        conj = conjugations(S, [g, prefix[g]], everyone)
+        beta_k = Automorphism(S, alphas[twisted_coord].images[conj[1]], provenance="composed")
+        if not np.array_equal(beta_k.images[prefix], gamma[conj[0]]):
+            raise TheoremViolationError("folded twist does not give the found coset member")
         alphas[twisted_coord] = beta_k
 
     vector = [0] * w.n
-    vector[cycle[-1]] = s_k
-    comp = np.arange(S.n, dtype=np.int32)
+    vector[cycle[-1]] = val = s_k
     for i, c in enumerate(cycle[:-1], start=1):
-        comp = alphas[c].images[comp]
-        val = int(comp[s_k])
+        val = int(alphas[c].images[val])
         vector[c] = int(S.inv[val]) if i % 2 == 1 else val
 
     effective = (

@@ -130,3 +130,30 @@ def full_brute_aut(G: GroupTable) -> automorphisms.AutGroup:
         [SimpleNamespace(images=img, provenance="inner(0)" if i else "raw")
          for img, i in zip(images, ident)],
     )
+
+
+def perm_parity(images) -> int:
+    """0 for an even permutation, 1 for an odd one: a cycle of length L is
+    L - 1 transpositions."""
+    seen = [False] * len(images)
+    parity = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+def first_inverted_reference(G: GroupTable, images) -> tuple[int, int] | None:
+    """The least c, then the least x != 1, with images(c x c^-1) = x^-1, by
+    walking every member of the coset images*Inn(G) with scalar products."""
+    for c in range(G.n):
+        for x in range(1, G.n):
+            if images[G.mul(G.mul(c, x), G.inverse(c))] == G.inverse(x):
+                return c, x
+    return None

@@ -231,13 +231,33 @@ def test_pinned_spectrum_digests(expr, k_min, k_max, iterate, all_autos, digest)
     assert result_digest(results, table) == digest
 
 
+# even cycles, and odd cycles (length 1 included) with the twist folded into
+# each of coordinates 0 to 4; aut.all[j] indexing: the seed picks
+# automorphisms by position
+WREATH_DIGESTS = {
+    ("A5", 2, 0): "879bf4e7a18c16a8245e20897f71c52d48a1df51c4f2f5df43190ed9223ff151",
+    ("A5", 2, 1): "de4c760e688d4fefb7c87f3159205994f961c1d341adc836f12232cd6958225e",
+    ("A5", 2, 2): "e4453926df00c956d869201e63065007102f331da4d8129bbb5647a97858992f",
+    ("A5", 6, 0): "64b41fb7004e301c9a7f4d6759f3f78b5b6653bd7e51bbaefd89daa3c921fd69",
+    ("A5", 6, 1): "0b4694fecd9a323321fd9a48344bf14d300b3b90bf4a62e512999b88fe1bc803",
+    ("A5", 6, 2): "b77c259d296443ab386670cc6fe2e63d2603bfe4804604447475d77a35354a4a",
+    ("A6", 1, 0): "a8e7374f2674eeead6395fb7b5a2bbca0e59acb2429f7adbece9b42a44074a0f",
+    ("A6", 1, 1): "5b1475c270910c185522187987788b95f99cb2882c61ee8c77f6b0b8aae5b15a",
+    ("A6", 1, 2): "4c3783e77b9e73d54285653475d0ef6e6e6025180db87a51e20c8cca3ed430c3",
+    ("PSL2(7)", 3, 0): "2dc7379a050901f99b3205d035298460f2829ce0f505166b4bf712bbfee91d70",
+    ("PSL2(7)", 3, 1): "5f870385a9022e266dbf86bf790d6bca0e035c12a50c144add63c68c8a9a7e0b",
+    ("PSL2(7)", 3, 2): "ceced712cc5340e194e8780b77aacb22d007f877d329b43317d31e82e13385d9",
+    ("PSL2(8)", 5, 0): "cfec4dcd4f0210d97e8711fc85b7648af408b6dc2b6e62cac091f58ddbea278a",
+    ("PSL2(8)", 5, 1): "838680433e9e3b791cc01492f076a7b3adf7fff87371c4eaa7077ac5cb04e34f",
+    ("PSL2(8)", 5, 2): "9fe7151689a7050a0b31512bb9bf14be1eac377ff865c87b5760390158059085",
+}
+
+
 def test_pinned_wreath_digest():
-    # aut.all[j] indexing: the seed picks automorphisms by position
-    results, table, code = cmd_witness_wreath("PSL2(7)", 3, seed=1, cap=ORDER_CAP)
-    assert code == EXIT_OK
-    assert result_digest(results, table) == (
-        "5f870385a9022e266dbf86bf790d6bca0e035c12a50c144add63c68c8a9a7e0b"
-    )
+    for (base, n, seed), digest in WREATH_DIGESTS.items():
+        results, table, code = cmd_witness_wreath(base, n, seed=seed, cap=ORDER_CAP)
+        assert code == EXIT_OK
+        assert result_digest(results, table) == digest, (base, n, seed)
 
 
 def test_digest_ignores_wall_time():

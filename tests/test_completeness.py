@@ -7,11 +7,12 @@ import pytest
 from autmap.automorphisms import (
     Automorphism,
     compute_aut,
-    compute_inner,
     identity_automorphism,
     inner_automorphism,
 )
 from autmap.completeness import (
+    CompletenessVerdict,
+    first_inverted,
     image_ratio,
     inversion_criterion,
     inverted_set,
@@ -23,6 +24,7 @@ from autmap.completeness import (
     power_map_bijective,
     suzuki_order,
 )
+from autmap.errors import TheoremViolationError
 from autmap.groups import (
     Permutation,
     build_alternating,
@@ -31,6 +33,7 @@ from autmap.groups import (
     build_symmetric,
     conjugacy_classes,
 )
+from helpers import built, first_inverted_reference
 
 
 def _power_map_aut(G, m):
@@ -86,9 +89,9 @@ def test_inverted_set_examples():
 
 def test_inversion_criterion_examples():
     C3 = build_cyclic(3)
-    assert inversion_criterion(identity_automorphism(C3), compute_inner(C3))
+    assert inversion_criterion(identity_automorphism(C3))
     C2 = build_cyclic(2)
-    assert not inversion_criterion(identity_automorphism(C2), compute_inner(C2))
+    assert not inversion_criterion(identity_automorphism(C2))
 
 
 @pytest.mark.parametrize("text_order", [("C6", 6), ("S3", None), ("Q8", None)])
@@ -98,13 +101,26 @@ def test_criterion_agrees_with_direct_scan(text_order):
     G = elaborate_text(text_order[0])
     A = compute_aut(G, "brute")
     for a in A.all:
-        assert inversion_criterion(a, A.inner) == is_k_complete(a, 1).verdict
+        assert inversion_criterion(a) == is_k_complete(a, 1).verdict
 
 
 def test_criterion_false_on_all_of_aut_a5():
     A = compute_aut(build_alternating(5), "brute")
     for a in A.all:
-        assert not inversion_criterion(a, A.inner)
+        assert not inversion_criterion(a)
+
+
+@pytest.mark.parametrize(
+    "text, complete",
+    [("S3", 0), ("Q8", 0), ("A4", 0), ("A5", 0), ("PSL2(7)", 0), ("C2 x C2", 2), ("C3 x C3", 27)],
+)
+def test_first_inverted_matches_the_coset_walk(text, complete):
+    G = built(text)
+    rows = compute_aut(G, "auto").all
+    found = [first_inverted(G, a.images) for a in rows]
+    assert found == [first_inverted_reference(G, a.images) for a in rows]
+    assert [f is None for f in found] == [is_k_complete(a, 1).verdict for a in rows]
+    assert found.count(None) == complete
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +233,14 @@ def test_certificates_reverify():
                 lhs = G.mul(G.power(g, k), a(g))
                 rhs = G.mul(G.power(h, k), a(h))
                 assert lhs == rhs
+
+
+def test_forged_certificates_are_theorem_violations():
+    # only a bug can build a certificate that fails its self-check
+    with pytest.raises(TheoremViolationError, match="not a bijection"):
+        CompletenessVerdict("C3", "raw", 1, True, np.array([0, 1, 1]))
+    with pytest.raises(TheoremViolationError, match="does not collide"):
+        CompletenessVerdict("C3", "raw", 1, False, np.array([0, 2, 1]), collision=(1, 2))
 
 
 def test_1_completeness_is_constant_on_inn_cosets():

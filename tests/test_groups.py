@@ -25,7 +25,7 @@ from autmap.groups import (
     element_orders,
     sylow2_profile,
 )
-from helpers import built, closure, element_order, find_isomorphism
+from helpers import built, closure, element_order, find_isomorphism, perm_parity
 
 # ---------------------------------------------------------------------------
 # orders of the atomic constructors
@@ -41,6 +41,16 @@ def test_atomic_orders():
     assert build_symmetric(4).n == 24
     assert build_dihedral(4).n == 8
     assert build_quaternion8().n == 8
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_alternating_group_is_the_even_permutations(m):
+    # degrees 1 and 2 have no pair of points to invert: A1 = A2 = {id}
+    S, A = built(f"S{m}"), built(f"A{m}")
+    assert S.n == math.factorial(m)
+    assert A.n == max(1, math.factorial(m) // 2)
+    even = [p for p in S.reps if perm_parity(p.images) == 0]
+    assert A.reps == even
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])

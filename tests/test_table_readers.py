@@ -1,9 +1,9 @@
-"""Only the group layer and the three n^2 algorithms read a group's table.
+"""Only the group layer and the two n^2 algorithms read a group's table.
 
 Everything else multiplies through ``GroupTable.mul_many``, which works with
 or without a materialized table.  The readers are the brute Aut search
-(automorphisms), the complete-mapping search (mappings) and the inverted
-witness (witnesses); each guards its read with ``require_table()``.  This
+(automorphisms) and the complete-mapping search (mappings); each guards its
+read with ``require_table()``.  This
 parses each module with ``ast`` and collects those that read a ``.table`` or
 ``.require_table`` attribute."""
 
@@ -23,4 +23,4 @@ def _reads_table(path: Path) -> bool:
 
 def test_table_readers():
     readers = {p.stem for p in SRC.glob("*.py") if _reads_table(p)}
-    assert readers == {"groups", "automorphisms", "mappings", "witnesses"}
+    assert readers == {"groups", "automorphisms", "mappings"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,15 @@ def test_inverted_witness_rejects_trivial(a5):
 
     with pytest.raises(TheoremViolationError):
         InvertedWitness(wreath=w, vector=(0, 0), cycle_used=(0, 1), twisted_coord=None)
+
+
+def test_wreath_witness_over_psl2_23(tmp_path):
+    # PSL2(23) has 6,072 elements, past the materialization cap, so the
+    # odd-cycle scan must multiply on demand
+    from autmap.cli import EXIT_OK, main
+
+    out = tmp_path / "wreath.json"
+    argv = ["witness", "wreath", "--base", "PSL2(23)", "--n", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["verified"] and results["eq2_holds"]
