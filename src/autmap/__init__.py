@@ -43,8 +43,6 @@ from .completeness import (
 from .fields import FieldElement, FieldParams, field_for
 from .groups import (
     GroupTable,
-    Permutation,
-    ProjectiveMatrix,
     build_atomic,
     conjugacy_classes,
     direct_product,

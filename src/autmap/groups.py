@@ -1,10 +1,14 @@
 """Finite groups materialized as dense index tables.
 
 Conventions shared by the whole package:
-  * elements are dense indices 0..n-1 and index 0 is always the identity;
+  * an element is its index, dense in 0..n-1, and index 0 is always the
+    identity.  ``GroupTable.labels[i]`` is its one printed form; its
+    canonical form is the array its builder multiplies with, row i of
+    ``meta["perm_array"]`` for S_m and A_m and entry i of each of the four
+    ``meta["codes"]`` arrays for SL2, PSL2 and PGL2;
   * enumeration order is canonical: identity first, then ascending canonical
-    representation (lexicographic image tuples for permutations, packed entry
-    codes for matrices, pair order for products);
+    form (lexicographic image tuples for permutations, packed entry codes for
+    matrices, pair order for products);
   * permutations compose right-to-left, (p*q)(x) = p(q(x)), matching the
     composition order used for automorphisms;
   * the full n x n multiplication table is materialized for n <= 4096; larger
@@ -46,39 +50,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceededError, GroupBuildError
-from .fields import FieldElement, FieldParams, field_for, prime_power
+from .fields import FieldParams, field_for, prime_power
 
 ORDER_CAP = 10_000
 MATERIALIZE_CAP = 4096
 TABLE_DTYPE = np.int16  # holds every index, since ORDER_CAP < 2**15
 PERM_DEGREE_CAP = 8
 MIN_PROJECTIVE_Q = 4
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..m-1} stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise GroupBuildError(f"not a permutation: {self.images}")
-
-
-@dataclass(frozen=True)
-class ProjectiveMatrix:
-    """A PGL2 class representative, scaled so its first nonzero entry is 1."""
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
 
 
 def perm_label(images) -> str:
@@ -107,12 +89,11 @@ class GroupTable:
     Immutable after construction; all queries are pure.
     """
 
-    def __init__(self, *, kind, name, reps, labels, mul_many_fn, inv, meta=None, table=None):
+    def __init__(self, *, kind, name, labels, mul_many_fn, inv, meta=None, table=None):
         self.kind = kind
         self.name = name
-        self.reps = reps
         self.labels = labels
-        self.n = len(reps)
+        self.n = len(labels)
         self.meta = meta or {}
         self._mul_many_fn = mul_many_fn
         if table is None and self.n <= MATERIALIZE_CAP:
@@ -308,7 +289,6 @@ def check_order_cap(name: str, order: int, cap: int = ORDER_CAP) -> int:
 
 def build_cyclic(n: int) -> GroupTable:
     check_order_cap(f"C{n}", predicted_atomic_order("C", n))
-    reps = list(range(n))
 
     def mul_many(a, b):
         return ((a + b) % n).astype(np.int32)
@@ -317,18 +297,16 @@ def build_cyclic(n: int) -> GroupTable:
     return GroupTable(
         kind="cyclic",
         name=f"C{n}",
-        reps=reps,
-        labels=[str(i) for i in reps],
+        labels=[str(i) for i in range(n)],
         mul_many_fn=mul_many,
         inv=inv,
-        meta={"n": n},
     )
 
 
 def build_dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n: rotations r^k and reflections r^k s."""
     check_order_cap(f"D{n}", predicted_atomic_order("D", n))
-    reps = [(r, s) for r in range(n) for s in range(2)]  # index = 2r + s
+    pairs = [(r, s) for r in range(n) for s in range(2)]  # index = 2r + s
 
     def mul_many(a, b):
         r1, s1 = a // 2, a % 2
@@ -336,21 +314,18 @@ def build_dihedral(n: int) -> GroupTable:
         r = np.where(s1 == 0, r1 + r2, r1 - r2) % n
         return (2 * r + (s1 ^ s2)).astype(np.int32)
 
-    def lab(rep):
-        r, s = rep
+    def lab(r, s):
         if s == 0:
             return "e" if r == 0 else f"r{r}"
         return "s" if r == 0 else f"r{r}s"
 
-    inv = [2 * ((n - r) % n) if s == 0 else 2 * r + 1 for (r, s) in reps]
+    inv = [2 * ((n - r) % n) if s == 0 else 2 * r + 1 for (r, s) in pairs]
     return GroupTable(
         kind="dihedral",
         name=f"D{n}",
-        reps=reps,
-        labels=[lab(r) for r in reps],
+        labels=[lab(r, s) for (r, s) in pairs],
         mul_many_fn=mul_many,
         inv=inv,
-        meta={"n": n},
     )
 
 
@@ -372,21 +347,20 @@ def _q8_mul(x, y):
 
 def build_quaternion8() -> GroupTable:
     """The order-8 quaternion group, by its explicit table."""
-    reps = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
+    units = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    pos = {r: k for k, r in enumerate(reps)}
+    pos = {u: k for k, u in enumerate(units)}
     table = np.array(
-        [[pos[_q8_mul(x, y)] for y in reps] for x in reps], dtype=TABLE_DTYPE
+        [[pos[_q8_mul(x, y)] for y in units] for x in units], dtype=TABLE_DTYPE
     )
 
     def mul_many(a, b):
         return table[a, b]
 
-    inv = [pos[(s, 0)] if a == 0 else pos[(-s, a)] for (s, a) in reps]
+    inv = [pos[(s, 0)] if a == 0 else pos[(-s, a)] for (s, a) in units]
     return GroupTable(
         kind="quaternion8",
         name="Q8",
-        reps=reps,
         labels=labels,
         mul_many_fn=mul_many,
         inv=inv,
@@ -403,11 +377,10 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     if kind == "alternating":
         i, j = np.triu_indices(m, 1)  # even: an even number of inversions
         arr = arr[(arr[:, i] > arr[:, j]).sum(axis=1) % 2 == 0]
-    perms = [tuple(p) for p in arr.tolist()]
     pows = (m ** np.arange(m)).astype(np.int64)
     codes = arr.astype(np.int64) @ pows
     lookup = np.full(m**m, -1, dtype=TABLE_DTYPE)
-    lookup[codes] = np.arange(len(perms))
+    lookup[codes] = np.arange(len(arr))
 
     def mul_many(a, b):
         comp = arr.ravel().take(np.asarray(a)[..., None] * m + arr[b])  # (p*q)(t) = p(q(t))
@@ -418,11 +391,10 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     return GroupTable(
         kind=kind,
         name=name,
-        reps=[Permutation(p) for p in perms],
-        labels=[perm_label(p) for p in perms],
+        labels=[perm_label(p) for p in arr.tolist()],
         mul_many_fn=mul_many,
         inv=inv,
-        meta={"degree": m, "perm_array": arr},
+        meta={"perm_array": arr},
     )
 
 
@@ -489,7 +461,6 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     F = field_for(q)
     MUL = F.mul_table.astype(np.int64)
     NEG = F.neg_table.astype(np.int64)
-    projective = kind != "SL2"
     A, B, C, D = _matrix_codes(kind, F)
     if len(A) != order:
         raise GroupBuildError(f"{name}: enumerated {len(A)} elements, expected {order}")
@@ -498,7 +469,7 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # element to that element's index (-1 elsewhere): for the projective
     # kinds every nonzero scalar multiple of the representative, so a
     # product needs no canonicalization; for SL2 the matrix itself.
-    scalars = np.arange(1, q) if projective else np.ones(1, dtype=np.int64)
+    scalars = np.arange(1, q) if kind != "SL2" else np.ones(1, dtype=np.int64)
     lookup = np.full(q**4, -1, dtype=TABLE_DTYPE)
     lookup[_pack(*(MUL[x[:, None], scalars] for x in (A, B, C, D)), q)] = np.arange(order)[:, None]
 
@@ -533,14 +504,11 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # (exactly, in SL2)
     inv = lookup[_pack(D, NEG[B], NEG[C], A, q)]
 
-    elems = F.elements()
-    names = [F.label(e) for e in elems]
-    entries = list(zip(A.tolist(), B.tolist(), C.tolist(), D.tolist()))
-    make_rep = ProjectiveMatrix if projective else lambda *es: es
+    names = [F.label(e) for e in F.elements()]
+    entries = zip(A.tolist(), B.tolist(), C.tolist(), D.tolist())
     return GroupTable(
         kind=kind,
         name=name,
-        reps=[make_rep(*(elems[e] for e in m)) for m in entries],
         labels=["[{} {}; {} {}]".format(*(names[e] for e in m)) for m in entries],
         mul_many_fn=mul_many,
         inv=inv,
@@ -588,14 +556,16 @@ def predicted_atomic_order(kind: str, param: int | None) -> int:
             raise GroupBuildError(f"dihedral parameter must be >= 1, got {param}")
         return 2 * param
     if kind in ("S", "A"):
-        if not 1 <= param <= PERM_DEGREE_CAP:
-            raise GroupBuildError(
-                f"permutation degree must be in 1..{PERM_DEGREE_CAP}, got {param}"
-            )
+        if param < 1:
+            raise GroupBuildError(f"permutation degree must be >= 1, got {param}")
+        if param > PERM_DEGREE_CAP:
+            raise CapExceededError(f"{kind}{param}: degree {param} exceeds cap {PERM_DEGREE_CAP}")
         n = math.factorial(param)
         return n // 2 if kind == "A" and param >= 2 else n
     if kind in ("SL2", "PSL2", "PGL2"):
-        p, _ = prime_power(param)  # raises for non prime powers
+        # any q above ORDER_CAP is over every cap: skip factoring it up to sqrt(q)
+        if param <= ORDER_CAP:
+            prime_power(param)  # raises for non prime powers
         if kind in ("PSL2", "PGL2") and param < MIN_PROJECTIVE_Q:
             raise GroupBuildError(f"{kind} requires q >= {MIN_PROJECTIVE_Q}, got {param}")
         n = param * (param * param - 1)
@@ -621,7 +591,6 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     n1, n2 = G.n, H.n
     name = f"{G.name} x {H.name}"
     check_order_cap(name, n1 * n2)
-    reps = [(G.reps[i], H.reps[j]) for i in range(n1) for j in range(n2)]
     labels = [f"({G.labels[i]},{H.labels[j]})" for i in range(n1) for j in range(n2)]
 
     def mul_many(x, y):
@@ -634,7 +603,6 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     return GroupTable(
         kind="product",
         name=name,
-        reps=reps,
         labels=labels,
         mul_many_fn=mul_many,
         inv=inv,

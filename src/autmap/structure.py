@@ -188,11 +188,10 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     quot = GroupTable(
         kind="quotient",
         name=f"{G.name}/N{len(N)}",
-        reps=[("coset", r) for r in coset_reps],
         labels=[f"[{G.labels[r]}]" for r in coset_reps],
         mul_many_fn=lambda a, b: proj[G.mul_many(reps_arr[a], reps_arr[b])],
         inv=proj[G.inv[reps_arr]],
-        meta={"parent": G, "subgroup": N, "coset_reps": coset_reps},
+        meta={"coset_reps": coset_reps},
     )
     # projection is a homomorphism with kernel exactly N
     if not is_homomorphism(G, quot, proj):
@@ -211,11 +210,10 @@ def subgroup_table(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     sub = GroupTable(
         kind="subgroup",
         name=f"{G.name}|{len(N)}",
-        reps=[G.reps[int(x)] for x in mem],
         labels=[G.labels[int(x)] for x in mem],
         mul_many_fn=lambda a, b: local[G.mul_many(mem[a], mem[b])],
         inv=local[G.inv[mem]],
-        meta={"parent": G, "subgroup": N, "local": local},
+        meta={"local": local},
     )
     return sub, mem
 

@@ -169,10 +169,8 @@ def test_criterion_07_psl2_witnesses_all_variants():
                 assert wit.verified, (q, i)
                 if variant == "q1mod4":
                     # the power must be precisely the class of diag(-1, 1)
-                    rep = G.reps[wit.element]
-                    assert (rep.a, rep.b, rep.c, rep.d) == (
-                        F.one, F.zero, F.zero, F.scalar(-1)
-                    ), (q, i)
+                    minus_one = F.label(F.scalar(-1))
+                    assert G.labels[wit.element] == f"[1 0; 0 {minus_one}]", (q, i)
 
 
 def test_criterion_08_frobenius_has_six_fixed_points():

@@ -14,7 +14,6 @@ from autmap.automorphisms import (
 )
 from autmap.errors import AutomorphismError, CapExceededError, StrategyError
 from autmap.groups import (
-    Permutation,
     build_alternating,
     build_cyclic,
     build_psl2,
@@ -43,9 +42,9 @@ def test_inner_on_abelian_group_is_identity():
 
 def test_inner_s3_example():
     G = build_symmetric(3)
-    t = G.reps.index(Permutation((1, 0, 2)))  # (1 2)
-    c = G.reps.index(Permutation((1, 2, 0)))  # (1 2 3)
-    target = G.reps.index(Permutation((2, 0, 1)))  # (1 3 2)
+    t = G.labels.index("(1 2)")
+    c = G.labels.index("(1 2 3)")
+    target = G.labels.index("(1 3 2)")
     assert inner_automorphism(G, t)(c) == target
 
 

@@ -304,6 +304,8 @@ def test_main_csv_format(tmp_path):
 def test_main_input_errors(tmp_path):
     assert main(["spectrum", "--group", "A5 x", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["spectrum", "--group", "PSL2(6)", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
+    assert main(["spectrum", "--group", "PSL2(30)", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
+    assert main(["spectrum", "--group", "S0", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "M11"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "A5", "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
     missing = str(tmp_path / "missing" / "r.json")
@@ -368,6 +370,9 @@ def test_cap_error_names_a_matrix_atom_with_parentheses(capsys):
 
 def test_main_cap_exceeded():
     assert main(["mappings", "--group", "S8"]) == EXIT_CAP_EXCEEDED
+    # a degree above PERM_DEGREE_CAP is too large, as S8's order is
+    assert main(["mappings", "--group", "S9"]) == EXIT_CAP_EXCEEDED
+    assert main(["mappings", "--group", "A9"]) == EXIT_CAP_EXCEEDED
     assert main(["mappings", "--group", "A5", "--cap", "10"]) == EXIT_CAP_EXCEEDED
     assert main(["witness", "psl2", "--q", "7", "--cap", "10"]) == EXIT_CAP_EXCEEDED
 
@@ -392,9 +397,26 @@ def test_main_uncovered_aut_strategy_exits_cap_exceeded():
 
 
 def test_large_prime_field_parameter_exits_cap_exceeded():
-    # the order formula needs q = p^f first; factoring 10^9 + 7 is quick
+    # a q above ORDER_CAP is not factored: its order is over every cap
     argv = ["spectrum", "--group", "SL2(1000000007)", "--k-min", "1", "--k-max", "1"]
     assert main(argv) == EXIT_CAP_EXCEEDED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--group", "SL2(1000000000000000003)", "--k-min", "1", "--k-max", "1"],
+        ["witness", "psl2", "--q", "1000000000000000003"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_huge_field_parameter_exits_cap_exceeded_at_once(argv):
+    # trial division of this prime up to its square root would never finish
+    import time
+
+    start = time.perf_counter()
+    assert main(argv) == EXIT_CAP_EXCEEDED
+    assert time.perf_counter() - start < 1
 
 
 def test_brute_aut_search_expansion_is_capped():

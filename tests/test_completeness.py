@@ -26,7 +26,6 @@ from autmap.completeness import (
 )
 from autmap.errors import TheoremViolationError
 from autmap.groups import (
-    Permutation,
     build_alternating,
     build_cyclic,
     build_dihedral,
@@ -133,7 +132,7 @@ def test_fpf_equivalence_examples():
     assert is_fixed_point_free_equiv(identity_automorphism(S3)) == (False, False)
     C5 = build_cyclic(5)
     assert is_fixed_point_free_equiv(_power_map_aut(C5, 2)) == (True, True)
-    t = S3.reps.index(Permutation((1, 0, 2)))
+    t = S3.labels.index("(1 2)")
     assert is_fixed_point_free_equiv(inner_automorphism(S3, t)) == (False, False)
 
 

@@ -7,7 +7,6 @@ import pytest
 from autmap.errors import CapExceededError, GroupBuildError
 from autmap.fields import field_for
 from autmap.groups import (
-    Permutation,
     build_alternating,
     build_atomic,
     build_cyclic,
@@ -49,8 +48,8 @@ def test_alternating_group_is_the_even_permutations(m):
     S, A = built(f"S{m}"), built(f"A{m}")
     assert S.n == math.factorial(m)
     assert A.n == max(1, math.factorial(m) // 2)
-    even = [p for p in S.reps if perm_parity(p.images) == 0]
-    assert A.reps == even
+    even = [p for p in S.meta["perm_array"].tolist() if perm_parity(p) == 0]
+    assert A.meta["perm_array"].tolist() == even
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
@@ -66,6 +65,10 @@ def test_parameter_validation():
         build_psl2(3)  # q >= 4 required
     with pytest.raises(CapExceededError):
         build_symmetric(8)  # 40320 over the order cap
+    with pytest.raises(CapExceededError):
+        build_alternating(9)  # degree over PERM_DEGREE_CAP
+    with pytest.raises(GroupBuildError):
+        build_symmetric(0)
     with pytest.raises(CapExceededError):
         build_psl2(29)  # 12180 over the order cap
     with pytest.raises(GroupBuildError):
@@ -121,18 +124,13 @@ def test_product_cap():
 def test_element_order_examples():
     S4 = build_symmetric(4)
     assert element_orders(S4)[0] == 1
-    four_cycle = S4.reps.index(Permutation((1, 2, 3, 0)))  # (1 2 3 4)
+    four_cycle = S4.labels.index("(1 2 3 4)")
     assert element_orders(S4)[four_cycle] == 4
 
     PGL = build_pgl2(5)
-    F = field_for(5)
-    # the class of diag(-1, 1) squares to the identity projectively
-    target = None
-    for i, rep in enumerate(PGL.reps):
-        if (rep.a, rep.b, rep.c, rep.d) == (F.one, F.zero, F.zero, F.scalar(-1)):
-            # canonical form scales diag(-1,1) by -1 to diag(1,-1)
-            target = i
-    assert target is not None
+    # the class of diag(-1, 1) squares to the identity projectively; its
+    # canonical form scales diag(-1,1) by -1 to diag(1,-1)
+    target = PGL.labels.index("[1 0; 0 4]")
     assert element_orders(PGL)[target] == 2
 
 
@@ -208,9 +206,7 @@ def _reference_mul(G):
     add = [[F.to_code(F.add(x, y)) for y in elems] for x in elems]
     inv = [0] + [F.to_code(F.inv(x)) for x in elems[1:]]
     projective = G.kind != "SL2"
-    mats = [
-        tuple(F.to_code(e) for e in ((r.a, r.b, r.c, r.d) if projective else r)) for r in G.reps
-    ]
+    mats = list(zip(*(x.tolist() for x in G.meta["codes"])))
     index = {m: i for i, m in enumerate(mats)}
 
     def product(i, j):
@@ -284,8 +280,9 @@ def test_psl2_4_isomorphic_to_a5():
 def test_psl2_dets_are_squares():
     G = build_psl2(9)
     F = field_for(9)
-    for rep in G.reps:
-        det = F.sub(F.mul(rep.a, rep.d), F.mul(rep.b, rep.c))
+    for codes in zip(*(x.tolist() for x in G.meta["codes"])):
+        a, b, c, d = map(F.from_code, codes)
+        det = F.sub(F.mul(a, d), F.mul(b, c))
         assert F.is_square(det) and det != F.zero
 
 
@@ -333,6 +330,44 @@ def test_on_demand_direct_product():
 
 
 # ---------------------------------------------------------------------------
+# labels: an element's one printed form
+# ---------------------------------------------------------------------------
+
+_IDENTITY_LABELS = {
+    "cyclic": "0", "dihedral": "e", "quaternion8": "1", "symmetric": "id", "alternating": "id",
+    "SL2": "[1 0; 0 1]", "PSL2": "[1 0; 0 1]", "PGL2": "[1 0; 0 1]",
+}
+
+
+def _identity_label(G):
+    if G.kind == "product":
+        return "({},{})".format(*map(_identity_label, G.meta["factors"]))
+    return _IDENTITY_LABELS[G.kind]
+
+
+def _labelled_groups():
+    from autmap.catalog import CATALOG, EXTENDED_ENTRIES
+    from autmap.structure import Subgroup, derived_series, quotient, subgroup_table
+
+    texts = [e.expr for e in CATALOG + EXTENDED_ENTRIES]
+    texts += ["S7", "PGL2(9)", "Q8 x Q8", "D4 x (C2 x C3)", "PSL2(7) x C25"]
+    for text in texts:
+        G = built(text)
+        yield text, G, _identity_label(G)
+    SL = built("SL2(5)")
+    Q = quotient(SL, Subgroup(SL, tuple(center(SL))))[0]
+    yield "SL2(5)/Z", Q, "[[1 0; 0 1]]"
+    S4 = built("S4")
+    yield "A4 in S4", subgroup_table(S4, derived_series(S4)[1])[0], "id"
+
+
+def test_labels_identify_elements():
+    for text, G, identity in _labelled_groups():
+        assert len(set(G.labels)) == G.n, text
+        assert G.labels[0] == identity, text
+
+
+# ---------------------------------------------------------------------------
 # generating sets
 # ---------------------------------------------------------------------------
 
@@ -366,7 +401,6 @@ def test_construction_rejects_broken_multiplication():
         GroupTable(
             kind="cyclic",
             name="broken",
-            reps=[0, 1, 2],
             labels=["0", "1", "2"],
             mul_many_fn=bad_mul,
             inv=[0, 2, 1],
@@ -387,7 +421,6 @@ def test_construction_rejects_nonassociative_loop():
         GroupTable(
             kind="loop",
             name="loop5",
-            reps=list(range(5)),
             labels=[str(i) for i in range(5)],
             mul_many_fn=lambda a, b: table[a, b],
             inv=list(range(5)),
@@ -410,7 +443,6 @@ def test_construction_rejects_swapped_table_entries(text):
         GroupTable(
             kind=G.kind,
             name="swapped",
-            reps=G.reps,
             labels=G.labels,
             mul_many_fn=lambda a, b: table[a, b],
             inv=G.inv,
@@ -436,7 +468,6 @@ def test_construction_rejects_swapped_on_demand_products(text):
         GroupTable(
             kind=G.kind,
             name="swapped",
-            reps=G.reps,
             labels=G.labels,
             mul_many_fn=swapped,
             inv=G.inv,
@@ -449,7 +480,6 @@ def _table_group(G, table, name):
     return GroupTable(
         kind=G.kind,
         name=name,
-        reps=G.reps,
         labels=G.labels,
         mul_many_fn=lambda a, b: table[a, b],
         inv=G.inv,

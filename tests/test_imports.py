@@ -1,8 +1,10 @@
-"""Every module-level import in ``src/autmap`` is used by its module,
-importing the package starts no thread, and no command imports numpy.ma.
+"""Every module-level import in ``src/autmap`` is used by its module, every
+module-level private name is referenced somewhere in the package, importing
+the package starts no thread, and no command imports numpy.ma.
 
 No linter is part of the toolchain, so this parses each module with ``ast``.
-``__init__.py`` is skipped: its imports are the package's public names."""
+``__init__.py`` is skipped by the import check: its imports are the package's
+public names."""
 
 import ast
 import os
@@ -36,6 +38,53 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names starting with ``_`` (dunders aside) bound by def,
+    class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in ``tree``."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def dead_private_names(src: Path) -> list[str]:
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+
+
+def test_private_names_are_found():
+    tree = ast.parse((SRC / "groups.py").read_text())
+    assert {"_verify_group", "_ATOMIC_BUILDERS"} <= set(_private_definitions(tree))
+
+
+def test_every_private_name_is_referenced():
+    # a private helper that nothing calls is dead code
+    assert dead_private_names(SRC) == []
 
 
 _THREADS_SCRIPT = """
