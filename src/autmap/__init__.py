@@ -40,7 +40,7 @@ from .completeness import (
     power_map_bijective,
     suzuki_order,
 )
-from .fields import FieldElement, FieldParams, field_for
+from .fields import FieldParams, field_for
 from .groups import (
     GroupTable,
     build_atomic,

@@ -411,7 +411,7 @@ def psl2_map(G: GroupTable, nmat: tuple[int, int, int, int], i: int) -> np.ndarr
     F = G.meta["field"]
     if not 0 <= i < F.f:
         raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
-    fr = np.array([F._pow_code(x, F.p**i) for x in range(F.q)], dtype=np.int64)
+    fr = np.array([F.pow(x, F.p**i) for x in range(F.q)], dtype=np.int64)
     matmul = _matrix_mul_codes(F)
     NEG = F.neg_table.astype(np.int64)
     na, nb, nc, nd = (np.int64(x) for x in nmat)

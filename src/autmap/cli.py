@@ -61,16 +61,40 @@ EXIT_CAP_EXCEEDED = 4
 K_RANGE_LIMIT = 16
 
 
-def _reverify_verdict(G, alpha, verdict) -> None:
-    """Re-check a failure certificate by scalar products right before
-    emission, a route independent of the vectors that found it.  A success
-    certificate was re-checked when its verdict was built."""
-    if not verdict.verdict:
-        g, h = verdict.collision
-        lhs = G.mul(G.power(g, verdict.k), alpha(g))
-        rhs = G.mul(G.power(h, verdict.k), alpha(h))
-        if lhs != rhs:
-            raise TheoremViolationError("emitted failure certificate failed re-verification")
+def _power_rows(G, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x[i]^k[i] for every i, by square-and-multiply over the arrays."""
+    x = np.where(k < 0, G.inv[x], x)
+    k = np.abs(k)
+    result = np.zeros_like(x)
+    while True:
+        result = np.where(k & 1, G.mul_many(result, x), result)
+        k = k >> 1
+        if not k.any():
+            return result
+        x = G.mul_many(x, x)
+
+
+def _reverify_failures(G, reps: np.ndarray, failed: np.ndarray) -> None:
+    """Re-check every failure certificate of G at once, right before
+    emission.  Each row of ``failed`` is (r, c, g, h, k) for a failing row
+    alpha = rep_r o iota_c, whose collision at exponent k is (g, h): check
+    g != h and g^k alpha(g) = h^k alpha(h), with alpha(x) = rep_r(c x c^-1)
+    read from the representatives' images ``reps``, a route apart from the
+    scan that found the collisions.  A success certificate was re-checked
+    when its verdict was built."""
+    r, c, g, h, k = failed.astype(np.int64).T
+
+    def displaced(x):
+        image = reps[r, G.mul_many(G.mul_many(c, x), G.inv[c])]
+        return G.mul_many(_power_rows(G, x, k), image)
+
+    if np.any(g == h) or not np.array_equal(displaced(g), displaced(h)):
+        raise TheoremViolationError("emitted failure certificate failed re-verification")
+
+
+def _rep_images(aut) -> np.ndarray:
+    """The images of Aut(G)'s coset representatives, one row each."""
+    return np.stack([rep.images for rep in aut.reps])
 
 
 def _certificate_text(verdict) -> str:
@@ -104,11 +128,18 @@ def cmd_verify_theorem(
         if solvable != entry.solvable:
             raise TheoremViolationError(f"catalog solvability label is wrong for {name}")
         # a solvable group is a control: its identity automorphism is the only row
-        autos = [identity_automorphism(G)] if solvable else catalog_aut(name).all
-        rows = []
+        if solvable:
+            autos = [identity_automorphism(G)]
+            reps, parts = autos[0].images[None], lambda idx: (0, 0)
+        else:
+            aut = catalog_aut(name)
+            autos, reps, parts = aut.all, _rep_images(aut), aut.parts
+        rows, failed, nfail = [], np.empty((len(autos), 5), dtype=np.int32), 0
         for idx, alpha in enumerate(autos):
             v = is_k_complete(alpha, 1)
-            _reverify_verdict(G, alpha, v)
+            if not v.verdict:
+                failed[nfail] = (*parts(idx), *v.collision, 1)
+                nfail += 1
             rows.append(
                 {
                     "group": name,
@@ -119,6 +150,7 @@ def cmd_verify_theorem(
                     "certificate": _certificate_text(v),
                 }
             )
+        _reverify_failures(G, reps, failed[:nfail])
         result = {"group": name, "order": G.n, "solvable": solvable}
         if solvable:
             result["control_identity_1_complete"] = rows[0]["verdict"]
@@ -165,11 +197,14 @@ def cmd_spectrum(
     autos = aut.all if all_autos else aut.coset_reps
     ks = list(range(k_min, k_max + 1))
 
-    table = []
+    table, failed, nfail = [], np.empty((len(autos) * len(ks), 5), dtype=np.int32), 0
     for idx, alpha in enumerate(autos):
+        part = aut.parts(idx if all_autos else aut.index(alpha))
         for k in ks:
             v = is_k_complete(alpha, k)
-            _reverify_verdict(G, alpha, v)
+            if not v.verdict:
+                failed[nfail] = (*part, *v.collision, k)
+                nfail += 1
             row = {
                 "group": G.name,
                 "aut_index": idx,
@@ -181,6 +216,7 @@ def cmd_spectrum(
             if iterate:
                 row["iterate_bijective"] = iterate_map_bijective(alpha, k) if k >= 1 else None
             table.append(row)
+    _reverify_failures(G, _rep_images(aut), failed[:nfail])
     results = {
         "group": G.name,
         "order": G.n,

@@ -9,10 +9,6 @@ class FieldDomainError(AutmapError):
     """Field operation outside its domain (e.g. inverting zero)."""
 
 
-class UnsupportedQueryError(AutmapError):
-    """Query that is meaningless for the given parameters (e.g. squareness in characteristic 2)."""
-
-
 class GroupBuildError(AutmapError):
     """Invalid parameters for a group constructor (non prime power, degree out of range, ...)."""
 

@@ -1,10 +1,12 @@
 """Exact arithmetic in GF(p^f) on a polynomial basis.
 
-Elements are coefficient vectors over F_p reduced modulo a fixed monic
-irreducible polynomial.  Every field here is tiny (q <= 32), so all
-arithmetic is table-driven: addition, multiplication, negation and inversion
-are dense numpy tables over integer element *codes*, which the matrix-group
-builders index in bulk.
+An element is its code, as a group element is its index: an integer in
+0..q-1 standing for a coefficient vector over F_p reduced modulo a fixed
+monic irreducible polynomial.  Every field here is tiny (q <= 32), so all
+arithmetic is table-driven: ``FieldParams`` holds dense numpy tables for
+addition, multiplication, negation and inversion, and a mask of the
+squares, which the matrix-group builders index in bulk.  Beyond the tables
+it offers three methods on codes: ``pow``, ``generator`` and ``label``.
 
 Conventions:
   * an element with coefficients (c0, c1, ..., c_{f-1}) represents
@@ -26,12 +28,11 @@ commutative ring without zero divisors is a field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldDomainError, GroupBuildError, UnsupportedQueryError
+from .errors import CapExceededError, FieldDomainError, GroupBuildError
 
 MAX_FIELD_SIZE = 32
 
@@ -99,13 +100,6 @@ def default_modulus(p: int, f: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p^f): exactly f coefficients, each reduced mod p."""
-
-    coeffs: tuple[int, ...]
-
-
 class FieldParams:
     """A concrete GF(p^f) with dense code-level operation tables.
 
@@ -119,7 +113,7 @@ class FieldParams:
             raise GroupBuildError(f"extension degree must be >= 1, got {f}")
         q = p**f
         if q > MAX_FIELD_SIZE:
-            raise GroupBuildError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
+            raise CapExceededError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
         self.p = p
         self.f = f
         self.q = q
@@ -133,92 +127,27 @@ class FieldParams:
         self.square_mask = np.zeros(q, dtype=bool)
         self.square_mask[np.diagonal(self.mul_table)] = True
 
-    # -- element construction / enumeration --------------------------------
+    def _check(self, c: int) -> None:
+        if not 0 <= c < self.q:
+            raise FieldDomainError(f"code {c} out of range for q={self.q}")
 
-    def element(self, coeffs) -> FieldElement:
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) != self.f:
-            raise FieldDomainError(f"expected {self.f} coefficients, got {len(c)}")
-        return FieldElement(c)
-
-    def scalar(self, k: int) -> FieldElement:
-        return FieldElement((k % self.p,) + (0,) * (self.f - 1))
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.scalar(1)
-
-    def elements(self) -> list[FieldElement]:
-        return [self.from_code(c) for c in range(self.q)]
-
-    def to_code(self, a: FieldElement) -> int:
-        return int(_encode_digits(np.asarray(a.coeffs), self.p))
-
-    def from_code(self, code: int) -> FieldElement:
-        if not 0 <= code < self.q:
-            raise FieldDomainError(f"code {code} out of range for q={self.q}")
-        return FieldElement(tuple(self.digits[code].tolist()))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.from_code(int(self.add_table[self.to_code(a), self.to_code(b)]))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        nb = int(self.neg_table[self.to_code(b)])
-        return self.from_code(int(self.add_table[self.to_code(a), nb]))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.from_code(int(self.mul_table[self.to_code(a), self.to_code(b)]))
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        c = self.to_code(a)
-        if c == 0:
-            raise FieldDomainError("cannot invert zero")
-        return self.from_code(int(self.inv_table[c]))
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        c = self.to_code(a)
+    def pow(self, c: int, e: int) -> int:
+        """The code of c^e, by square-and-multiply; a negative e inverts c."""
+        self._check(c)
         if e < 0:
             if c == 0:
                 raise FieldDomainError("cannot invert zero")
-            c = int(self.inv_table[c])
-            e = -e
-        return self.from_code(self._pow_code(c, e))
-
-    def _pow_code(self, c: int, e: int) -> int:
-        if c == 0:
-            return 0 if e else 1
+            c, e = int(self.inv_table[c]), -e
         r = 1
-        base = c
         while e:
             if e & 1:
-                r = int(self.mul_table[r, base])
-            base = int(self.mul_table[base, base])
+                r = int(self.mul_table[r, c])
+            c = int(self.mul_table[c, c])
             e >>= 1
         return r
 
-    def frobenius(self, a: FieldElement, i: int) -> FieldElement:
-        """a^(p^i); i = f is the identity again."""
-        if i < 0:
-            raise FieldDomainError("frobenius power index must be >= 0")
-        return self.pow(a, self.p ** (i % self.f))
-
-    def is_square(self, a: FieldElement) -> bool:
-        """True iff a = 0 or a^((q-1)/2) = 1.  Odd q only."""
-        if self.q % 2 == 0:
-            raise UnsupportedQueryError(
-                "squareness is not a useful query in characteristic 2 "
-                "(every element is a square)"
-            )
-        return bool(self.square_mask[self.to_code(a)])
-
-    def generator(self) -> FieldElement:
-        """Smallest element (in code order) of multiplicative order q-1.
+    def generator(self) -> int:
+        """The least code of multiplicative order q-1.
 
         The order is certified by checking x^((q-1)/r) != 1 for every prime
         r dividing q-1.
@@ -226,25 +155,24 @@ class FieldParams:
         n = self.q - 1
         rs = prime_factors(n)
         for c in range(1, self.q):
-            if all(self._pow_code(c, n // r) != 1 for r in rs):
-                return self.from_code(c)
+            if all(self.pow(c, n // r) != 1 for r in rs):
+                return c
         raise AssertionError("no generator found")  # unreachable: F_q^* is cyclic
 
-    # -- display ------------------------------------------------------------
-
-    def label(self, a: FieldElement) -> str:
-        if self.f == 1:
-            return str(a.coeffs[0])
+    def label(self, c: int) -> str:
+        """The polynomial in t that code c stands for, highest degree first."""
+        self._check(c)
+        coeffs = self.digits[c].tolist()
         terms = []
         for i in range(self.f - 1, -1, -1):
-            c = a.coeffs[i]
-            if c == 0:
+            d = coeffs[i]
+            if d == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(str(d))
             else:
                 var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
+                terms.append(var if d == 1 else f"{d}{var}")
         return "+".join(terms) if terms else "0"
 
     def __repr__(self):

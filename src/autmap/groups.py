@@ -504,7 +504,7 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # (exactly, in SL2)
     inv = lookup[_pack(D, NEG[B], NEG[C], A, q)]
 
-    names = [F.label(e) for e in F.elements()]
+    names = [F.label(c) for c in range(q)]
     entries = zip(A.tolist(), B.tolist(), C.tolist(), D.tolist())
     return GroupTable(
         kind=kind,

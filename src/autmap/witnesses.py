@@ -204,14 +204,8 @@ def _pair_power(F, start_mat, start_j, e):
     (N1, j1)(N2, j2) = (N1 * frob^j1(N2), j1 + j2), by iterated application."""
     matmul = _matrix_mul_codes(F)
 
-    def frob_mat(m, j):
-        return tuple(int(F._pow_code(int(x), F.p**j)) if j else int(x) for x in m)
-
     def mul_pair(x, y):
-        m = matmul(
-            tuple(np.int64(v) for v in x[0]),
-            tuple(np.int64(v) for v in frob_mat(y[0], x[1])),
-        )
+        m = matmul(x[0], tuple(F.pow(v, F.p ** x[1]) for v in y[0]))
         return tuple(int(v) for v in m), (x[1] + y[1]) % F.f
 
     acc = ((1, 0, 0, 1), 0)
@@ -238,14 +232,14 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
     expected = psl2_variant(q)
     if variant != expected:
         raise ValueError(f"variant {variant!r} does not match q={q} (expected {expected!r})")
-    minus1 = F.to_code(F.scalar(-1))
+    minus1 = int(F.neg_table[1])
 
     exponent = None
     if variant == "char2":
         elem = int(_psl2_index_map(G, (1, 1, 0, 1)))
         rep = frobenius_field_aut(G, i)
     elif variant == "q1mod4":
-        xi = F.to_code(F.generator())
+        xi = F.generator()
         if F.square_mask[xi]:
             raise TheoremViolationError(
                 "generator of F_q^* is a square; diag(xi,1) would lie in PSL2"
@@ -261,7 +255,7 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
         if elem != int(_psl2_index_map(G, (minus1, 0, 0, 1))):
             raise TheoremViolationError("computed power is not the class of diag(-1,1)")
         # cross-check against direct exponentiation of xi in the field
-        if F.pow(F.generator(), (q - 1) // 2) != F.scalar(-1):
+        if F.pow(xi, (q - 1) // 2) != minus1:
             raise TheoremViolationError("xi^((q-1)/2) != -1 in the field")
     else:  # q3mod4
         if F.square_mask[minus1]:

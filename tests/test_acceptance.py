@@ -169,7 +169,7 @@ def test_criterion_07_psl2_witnesses_all_variants():
                 assert wit.verified, (q, i)
                 if variant == "q1mod4":
                     # the power must be precisely the class of diag(-1, 1)
-                    minus_one = F.label(F.scalar(-1))
+                    minus_one = F.label(int(F.neg_table[1]))
                     assert G.labels[wit.element] == f"[1 0; 0 {minus_one}]", (q, i)
 
 

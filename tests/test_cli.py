@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import autmap
+from autmap import cli
 from autmap.catalog import (
     CATALOG,
     EXTENDED_ENTRIES,
@@ -19,6 +21,7 @@ from autmap.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    EXIT_THEOREM_VIOLATION,
     cmd_mappings,
     cmd_spectrum,
     cmd_verify_theorem,
@@ -26,7 +29,8 @@ from autmap.cli import (
     cmd_witness_wreath,
     main,
 )
-from autmap.errors import ParseError
+from autmap.completeness import CompletenessVerdict
+from autmap.errors import ParseError, TheoremViolationError
 from autmap.groups import ORDER_CAP
 from autmap.parser import elaborate_text
 from autmap.reports import build_report, result_digest
@@ -114,6 +118,43 @@ def test_verify_theorem_a5():
         g1, g2 = (int(v) for v in row["certificate"].removeprefix("collision:").split("|"))
         alpha = aut.all[row["aut_index"]]
         assert G.mul(g1, alpha(g1)) == G.mul(g2, alpha(g2))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--scope", "A5"],
+        ["verify-theorem", "--scope", "PSL2(23)"],
+        ["spectrum", "--group", "A5", "--k-min", "-2", "--k-max", "2"],
+    ],
+)
+def test_forged_collision_fails_the_recheck(monkeypatch, capsys, argv):
+    """A verdict whose image agrees at g and h, while the row's real
+    displacements there differ, is caught before the report is emitted."""
+    real, calls = cli.is_k_complete, []
+
+    def forged(alpha, k):
+        v = real(alpha, k)
+        calls.append(alpha)
+        if len(calls) == 8:
+            G = alpha.parent
+            h = next(x for x in range(1, G.n) if G.mul(G.power(x, k), alpha(x)) != 0)
+            image = np.zeros(h + 1, dtype=np.int32)
+            v = CompletenessVerdict(G.name, alpha.provenance, k, False, image, (0, h))
+        return v
+
+    monkeypatch.setattr(cli, "is_k_complete", forged)
+    assert main(argv) == EXIT_THEOREM_VIOLATION
+    assert "re-verification" in capsys.readouterr().err
+    assert len(calls) > 8  # the forged row is not the last one scanned
+
+
+def test_recheck_refuses_a_collision_of_an_element_with_itself():
+    G = catalog_group("A5")
+    reps = np.arange(G.n)[None]
+    cli._reverify_failures(G, reps, np.empty((0, 5), dtype=np.int32))
+    with pytest.raises(TheoremViolationError, match="re-verification"):
+        cli._reverify_failures(G, reps, np.array([[0, 0, 5, 5, 1]]))
 
 
 def test_verify_theorem_control_certificate_is_the_image():

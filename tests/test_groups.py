@@ -197,14 +197,14 @@ def test_sylow2_profile_examples():
 
 def _reference_mul(G):
     """Pure-Python product of two element indices of a matrix group: the
-    representative matrices multiplied entry by entry with F.mul/F.add (read
-    into lists over element codes), the result scaled to canonical form
-    (first nonzero entry 1) for the projective kinds."""
+    representative matrices multiplied entry by entry with the field's
+    product and sum tables (read into lists over element codes), the result
+    scaled to canonical form (first nonzero entry 1) for the projective
+    kinds.  It shares no code with rowprod or code_lookup."""
     F = G.meta["field"]
-    elems = F.elements()
-    mul = [[F.to_code(F.mul(x, y)) for y in elems] for x in elems]
-    add = [[F.to_code(F.add(x, y)) for y in elems] for x in elems]
-    inv = [0] + [F.to_code(F.inv(x)) for x in elems[1:]]
+    mul = F.mul_table.tolist()
+    add = F.add_table.tolist()
+    inv = F.inv_table.tolist()
     projective = G.kind != "SL2"
     mats = list(zip(*(x.tolist() for x in G.meta["codes"])))
     index = {m: i for i, m in enumerate(mats)}
@@ -280,10 +280,9 @@ def test_psl2_4_isomorphic_to_a5():
 def test_psl2_dets_are_squares():
     G = build_psl2(9)
     F = field_for(9)
-    for codes in zip(*(x.tolist() for x in G.meta["codes"])):
-        a, b, c, d = map(F.from_code, codes)
-        det = F.sub(F.mul(a, d), F.mul(b, c))
-        assert F.is_square(det) and det != F.zero
+    for a, b, c, d in zip(*(x.tolist() for x in G.meta["codes"])):
+        det = F.add_table[F.mul_table[a, d], F.neg_table[F.mul_table[b, c]]]
+        assert F.square_mask[det] and det != 0
 
 
 # ---------------------------------------------------------------------------
