@@ -2,9 +2,11 @@
 
 An automorphism is stored as a full index bijection over its parent group,
 which makes every downstream bijectivity scan a flat table lookup.  Aut(G) is
-held as one validated representative per Inn(G)-coset together with the
-conjugations x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c
-are formed on demand.  The representatives are found either
+held as one read-only (r x n) image matrix, one row per Inn(G)-coset and
+validated in one pass per generator, together with the conjugations
+x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c are addressed
+by position and their images formed on demand.  The representatives are
+found either
 
   * by brute backtracking over the images of ``G.generators`` (|G| <= 512),
     the generating set every automorphism is validated on: candidate images
@@ -22,7 +24,6 @@ Composition order matches function composition: (a*b)(g) = a(b(g)).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -45,28 +46,44 @@ from .groups import (
 BRUTE_CAP = 512
 
 
-class Automorphism:
-    """A multiplicative index bijection fixing the identity.
+def _validated(parent: GroupTable, images) -> np.ndarray:
+    """``images`` as a read-only int32 matrix with n columns, each row of which
+    is an automorphism of ``parent``: its entries are integers in 0..n-1, it
+    fixes the identity, it is multiplicative, and only the identity maps to
+    the identity.  Multiplicativity is checked exactly, phi(x*g) =
+    phi(x)*phi(g) for every x and every g in the parent's generating set
+    (a homomorphism by induction on word length), for all rows at once; a
+    homomorphism of a finite group with trivial kernel is a bijection."""
+    n = parent.n
+    try:
+        rows = np.asarray(images)
+    except ValueError:  # rows of uneven lengths
+        raise AutomorphismError("rows of images have uneven shapes") from None
+    if rows.ndim != 2 or rows.shape[1] != n or not len(rows):
+        raise AutomorphismError(f"expected rows of {n} images, got shape {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise AutomorphismError(f"images are not integers: {rows.dtype}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise AutomorphismError(f"images outside 0..{n - 1}")
+    rows = rows.astype(np.int32)
+    if np.any(rows[:, 0] != 0):
+        raise AutomorphismError("identity is not fixed")
+    if not is_homomorphism(parent, parent, rows):
+        raise AutomorphismError("map is not multiplicative")
+    if np.any(np.count_nonzero(rows == 0, axis=1) != 1):
+        raise AutomorphismError("images are not a bijection")
+    rows.setflags(write=False)
+    return rows
 
-    Construction always verifies multiplicativity, exactly: phi(x*g) =
-    phi(x)*phi(g) for every x and every g in the parent's generating set,
-    which makes phi a homomorphism by induction on word length.
-    """
+
+class Automorphism:
+    """A multiplicative index bijection fixing the identity, validated on
+    construction (see ``_validated``)."""
 
     def __init__(self, parent: GroupTable, images, provenance: str = "raw"):
         self.parent = parent
-        self.images = np.asarray(images, dtype=np.int32).copy()
+        self.images = _validated(parent, [images])[0]
         self.provenance = provenance
-        n = parent.n
-        if self.images.shape != (n,):
-            raise AutomorphismError(f"expected {n} images, got shape {self.images.shape}")
-        if self.images[0] != 0:
-            raise AutomorphismError("identity is not fixed")
-        if not np.array_equal(np.bincount(self.images, minlength=n), np.ones(n, dtype=np.int64)):
-            raise AutomorphismError("images are not a bijection")
-        if not is_homomorphism(parent, parent, self.images):
-            raise AutomorphismError("map is not multiplicative")
-        self.images.setflags(write=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -198,22 +215,24 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 
 class AutGroup:
-    """Aut(G) held as its Inn(G)-cosets: one validated representative per
-    coset, times Inn(G) as conjugation rows.  The images of row
-    alpha o iota_c are formed only when they are read.
+    """Aut(G) held as its Inn(G)-cosets: ``reps``, a read-only (r x n) image
+    matrix with one validated representative per coset, times Inn(G) as
+    conjugation rows.  Rows are addressed by position: ``parts(j)`` names
+    row j as (row of ``reps``, c), and ``all[j]`` is a handle that forms the
+    images of rep_r o iota_c only when they are read.
 
     ``all``, ``inner`` and ``coset_reps`` are each sorted by image sequence;
-    the transversal is the lexicographically least member of each coset, and
-    ``inner`` is the rows of the coset of the identity.  ``reps`` are the
-    representatives the rows are formed from, and ``parts(j)`` names row j
-    as (index into ``reps``, c).
+    the transversal is the lexicographically least member of each coset, at
+    the positions ``coset_rows`` of ``all``, and ``inner`` is the rows of
+    the coset of the identity.
 
     Constructed from every automorphism of G, in any order (anything with
     ``images`` and ``provenance``, such as another AutGroup's ``all``), each
     row keeps its given provenance; ``from_reps`` takes an image matrix with
     one row per coset and a naming rule.  Either way the representatives
-    are validated here, exactly, and only they are: every other row is one
-    of them composed with a conjugation.
+    are validated here, exactly, in one pass per generator over the whole
+    matrix, and only they are: every other row is one of them composed with
+    a conjugation.
     """
 
     def __init__(self, parent: GroupTable, all_autos):
@@ -247,27 +266,27 @@ class AutGroup:
 
     def _setup(self, parent, images, cs, tag):
         self.parent = parent
-        self.reps = [Automorphism(parent, img, tag(r, 0)) for r, img in enumerate(images)]
-        cols = np.arange(_prefix_width(parent), dtype=np.int64)
-        inner_prefix = conjugations(parent, cs, cols)
-        prefix = np.concatenate([rep.images[inner_prefix] for rep in self.reps])
+        self.reps = _validated(parent, images)
+        width = _prefix_width(parent)
+        cols = np.arange(width, dtype=np.int64)
+        prefix = self.reps[:, conjugations(parent, cs, cols)].reshape(-1, width)
         order = _lex_order(prefix)
-        self._prefix = prefix[order]
-        if np.any(np.all(self._prefix[1:] == self._prefix[:-1], axis=1)):
+        prefix = prefix[order]
+        if np.any(np.all(prefix[1:] == prefix[:-1], axis=1)):
             raise AutomorphismError("cosets of Inn(G) are not disjoint")
-        if not np.array_equal(self._prefix[0], cols):
+        if not np.array_equal(prefix[0], cols):
             raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
         self._rep_of, c_pos = np.divmod(order, len(cs))
         self._c_of = cs[c_pos]
-        # rows are light handles: each forms its images when they are read
+        # rows are light handles: each forms its images when they are read,
+        # and the rows of a coset share one view of its representative
+        views = list(self.reps)
         self.all = [
-            _Row(parent, self.reps[r].images, c, tag(r, c))
+            _Row(parent, views[r], c, tag(r, c))
             for r, c in zip(self._rep_of.tolist(), self._c_of.tolist())
         ]
-        first = np.sort(np.unique(self._rep_of, return_index=True)[1])
-        self.coset_reps = [self.all[j] for j in first.tolist()]
-        self._coset_rank = np.empty(len(self.reps), dtype=np.int64)
-        self._coset_rank[self._rep_of[first]] = np.arange(len(first))
+        self.coset_rows = np.sort(np.unique(self._rep_of, return_index=True)[1]).tolist()
+        self.coset_reps = [self.all[j] for j in self.coset_rows]
         # row 0 is the identity, so its coset is Inn(G)
         inner = np.flatnonzero(self._rep_of == self._rep_of[0])
         self.inner = [self.all[j] for j in inner.tolist()]
@@ -278,18 +297,6 @@ class AutGroup:
     def __len__(self):
         return len(self.all)
 
-    def index(self, alpha: Automorphism) -> int:
-        """Position of alpha in ``all``; KeyError if it is not there."""
-        prefix = self._prefix
-        key = tuple(alpha.prefix(prefix.shape[1]).tolist())
-        j = bisect.bisect_left(range(len(prefix)), key, key=lambda i: tuple(prefix[i].tolist()))
-        if alpha.parent is not self.parent or j == len(prefix) or tuple(prefix[j].tolist()) != key:
-            raise KeyError("not a member of this Aut(G)")
-        return j
-
-    def coset_index(self, alpha: Automorphism) -> int:
-        return int(self._coset_rank[self._rep_of[self.index(alpha)]])
-
     def __repr__(self):
         return (
             f"AutGroup({self.parent.name}, |Aut|={len(self.all)}, "
@@ -297,11 +304,11 @@ class AutGroup:
         )
 
 
-def compute_inner(G: GroupTable) -> list[Automorphism]:
-    """Inn(G), one automorphism per distinct conjugation, sorted by images:
-    the coset of the identity.  A conjugation is an automorphism by the group
-    axioms, so none is re-checked."""
-    return AutGroup.from_reps(G, np.arange(G.n)[None], lambda r, c: f"inner({c})").all
+def compute_inner(G: GroupTable) -> AutGroup:
+    """Inn(G), one row per distinct conjugation, sorted by images: the coset
+    of the identity, whose row 0 is the identity.  A conjugation is an
+    automorphism by the group axioms, so only the identity is checked."""
+    return AutGroup.from_reps(G, np.arange(G.n)[None], lambda r, c: f"inner({c})")
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def _product_aut(G: GroupTable) -> AutGroup:
             "product Aut strategy requires coprime factor orders; "
             f"got {G1.n} and {G2.n}"
         )
-    R1, R2 = (np.stack([a.images for a in compute_aut(H).reps]) for H in (G1, G2))
+    R1, R2 = (compute_aut(H).reps for H in (G1, G2))
     # row (r1, r2), at element (x1, x2) = x1 * |G2| + x2, is (R1[r1, x1], R2[r2, x2])
     images = R1[:, None, :, None].astype(np.int64) * G2.n + R2[None, :, None, :]
     return AutGroup.from_reps(G, images.reshape(-1, G.n), lambda r, c: "composed")

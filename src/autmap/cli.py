@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .automorphisms import compute_aut, identity_automorphism
+from .automorphisms import compute_aut, compute_inner
 from .catalog import (
     NONSOLVABLE_ENTRIES,
     catalog_aut,
@@ -92,17 +92,42 @@ def _reverify_failures(G, reps: np.ndarray, failed: np.ndarray) -> None:
         raise TheoremViolationError("emitted failure certificate failed re-verification")
 
 
-def _rep_images(aut) -> np.ndarray:
-    """The images of Aut(G)'s coset representatives, one row each."""
-    return np.stack([rep.images for rep in aut.reps])
-
-
 def _certificate_text(verdict) -> str:
     """Inline certificate: the displacement image on success, the colliding
     pair on failure."""
     if verdict.verdict:
         return "image:" + ";".join(map(str, verdict.image.tolist()))
     return f"collision:{verdict.collision[0]}|{verdict.collision[1]}"
+
+
+def _scan(G, aut, rows, ks, group: str, verdict_key: str, iterate: bool = False) -> list[dict]:
+    """The report rows of the k-completeness scan: one per k in ``ks`` for
+    each position j in ``rows`` of Aut(G)'s rows ``aut.all``.  A report row
+    numbers its automorphism by its place in ``rows`` and holds the verdict
+    under ``verdict_key``; with ``iterate`` it also says whether the iterate
+    map is bijective.  Every failure certificate is re-checked before the
+    rows are returned."""
+    table, failed, nfail = [], np.empty((len(rows) * len(ks), 5), dtype=np.int32), 0
+    for idx, j in enumerate(rows):
+        alpha = aut.all[j]
+        for k in ks:
+            v = is_k_complete(alpha, k)
+            if not v.verdict:
+                failed[nfail] = (*aut.parts(j), *v.collision, k)
+                nfail += 1
+            row = {
+                "group": group,
+                "aut_index": idx,
+                "provenance": alpha.provenance,
+                "k": k,
+                verdict_key: v.verdict,
+                "certificate": _certificate_text(v),
+            }
+            if iterate:
+                row["iterate_bijective"] = iterate_map_bijective(alpha, k) if k >= 1 else None
+            table.append(row)
+    _reverify_failures(G, aut.reps, failed[:nfail])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -127,38 +152,18 @@ def cmd_verify_theorem(
         solvable = is_solvable(G)
         if solvable != entry.solvable:
             raise TheoremViolationError(f"catalog solvability label is wrong for {name}")
-        # a solvable group is a control: its identity automorphism is the only row
-        if solvable:
-            autos = [identity_automorphism(G)]
-            reps, parts = autos[0].images[None], lambda idx: (0, 0)
-        else:
-            aut = catalog_aut(name)
-            autos, reps, parts = aut.all, _rep_images(aut), aut.parts
-        rows, failed, nfail = [], np.empty((len(autos), 5), dtype=np.int32), 0
-        for idx, alpha in enumerate(autos):
-            v = is_k_complete(alpha, 1)
-            if not v.verdict:
-                failed[nfail] = (*parts(idx), *v.collision, 1)
-                nfail += 1
-            rows.append(
-                {
-                    "group": name,
-                    "aut_index": idx,
-                    "provenance": alpha.provenance,
-                    "k": 1,
-                    "verdict": v.verdict,
-                    "certificate": _certificate_text(v),
-                }
-            )
-        _reverify_failures(G, reps, failed[:nfail])
+        # a solvable group is a control: its identity automorphism, row 0 of
+        # Inn(G), is the only row
+        aut = compute_inner(G) if solvable else catalog_aut(name)
+        rows = _scan(G, aut, [0] if solvable else range(len(aut)), [1], name, "verdict")
         result = {"group": name, "order": G.n, "solvable": solvable}
         if solvable:
             result["control_identity_1_complete"] = rows[0]["verdict"]
             result["odd_order"] = G.n % 2 == 1
         else:
             complete_count = sum(row["verdict"] for row in rows)
-            result["aut_size"] = len(autos)
-            result["inner_size"] = len(catalog_aut(name).inner)
+            result["aut_size"] = len(aut)
+            result["inner_size"] = len(aut.inner)
             result["one_complete_found"] = complete_count
             result["all_fail"] = complete_count == 0
         return result, rows
@@ -194,29 +199,9 @@ def cmd_spectrum(
         raise ValueError(f"|k| is limited to {K_RANGE_LIMIT}")
     G = elaborate_text(expr, cap)
     aut = compute_aut(G, "auto")
-    autos = aut.all if all_autos else aut.coset_reps
+    rows = range(len(aut)) if all_autos else aut.coset_rows
     ks = list(range(k_min, k_max + 1))
-
-    table, failed, nfail = [], np.empty((len(autos) * len(ks), 5), dtype=np.int32), 0
-    for idx, alpha in enumerate(autos):
-        part = aut.parts(idx if all_autos else aut.index(alpha))
-        for k in ks:
-            v = is_k_complete(alpha, k)
-            if not v.verdict:
-                failed[nfail] = (*part, *v.collision, k)
-                nfail += 1
-            row = {
-                "group": G.name,
-                "aut_index": idx,
-                "provenance": alpha.provenance,
-                "k": k,
-                "k_complete": v.verdict,
-                "certificate": _certificate_text(v),
-            }
-            if iterate:
-                row["iterate_bijective"] = iterate_map_bijective(alpha, k) if k >= 1 else None
-            table.append(row)
-    _reverify_failures(G, _rep_images(aut), failed[:nfail])
+    table = _scan(G, aut, rows, ks, G.name, "k_complete", iterate)
     results = {
         "group": G.name,
         "order": G.n,

@@ -22,7 +22,7 @@ from .groups import GroupTable, conjugations
 
 @dataclass
 class CompletenessVerdict:
-    """Outcome of one (group, automorphism, k) check, with its certificate.
+    """Outcome of one (automorphism, k) check, with its certificate.
 
     On success the certificate is the full displacement image; on failure it
     is a colliding pair (g, h) with g^k a(g) = h^k a(h), and ``image`` is the
@@ -30,9 +30,6 @@ class CompletenessVerdict:
     at construction time; a certificate that fails is a bug.
     """
 
-    group_name: str
-    aut_provenance: str
-    k: int
     verdict: bool
     image: np.ndarray = field(repr=False)
     collision: tuple[int, int] | None = None
@@ -85,14 +82,7 @@ def is_k_complete(alpha: Automorphism, k: int) -> CompletenessVerdict:
         if collision is not None or width == n:
             break
         width = min(2 * width, n)
-    return CompletenessVerdict(
-        group_name=alpha.parent.name,
-        aut_provenance=alpha.provenance,
-        k=k,
-        verdict=collision is None,
-        image=image,
-        collision=collision,
-    )
+    return CompletenessVerdict(collision is None, image, collision)
 
 
 def inverted_set(beta: Automorphism) -> list[int]:

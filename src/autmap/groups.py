@@ -260,14 +260,16 @@ def span_mask(G: GroupTable, elements) -> tuple[np.ndarray, list[int]]:
 
 
 def is_homomorphism(G: GroupTable, H: GroupTable, images) -> bool:
-    """Whether x -> images[x] is a homomorphism G -> H, decided exactly:
-    images[x*g] == images[x]*images[g] for every x and every generator g of
-    G extends to all of G by induction on word length."""
+    """Whether x -> images[..., x] is a homomorphism G -> H, for the one map
+    or every row of a matrix of them, decided exactly: images[x*g] ==
+    images[x]*images[g] for every x and every generator g of G extends to
+    all of G by induction on word length.  One pair of products per
+    generator covers all rows."""
     images = np.asarray(images)
     idx = np.arange(G.n, dtype=np.int64)
     for g in G.generators:
-        lhs = images[G.mul_many(idx, np.full(G.n, g, dtype=np.int64))]
-        rhs = H.mul_many(images, np.full(G.n, images[g], dtype=np.int64))
+        lhs = images[..., G.mul_many(idx, g)]
+        rhs = H.mul_many(images, images[..., g, None])
         if not np.array_equal(lhs, rhs):
             return False
     return True

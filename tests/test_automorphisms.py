@@ -56,6 +56,31 @@ def test_non_multiplicative_map_rejected():
         Automorphism(G, [1, 0, 2, 3, 4])  # does not fix identity
 
 
+MALFORMED_C5_IMAGES = {
+    "negative": ([0, -1, 2, 3, 4], "outside"),
+    "out of range": ([0, 1, 2, 3, 5], "outside"),
+    "repeated": ([0, 0, 0, 0, 0], "bijection"),  # the trivial homomorphism
+    "short": ([0, 2, 4, 1], "shape"),
+    "nested": ([[0, 2, 4, 1, 3]], "shape"),
+    "non-integer": ([0, 1.5, 2, 3, 4], "integers"),
+    "moved identity": ([1, 0, 2, 3, 4], "identity"),
+    "non-multiplicative": ([0, 2, 1, 3, 4], "multiplicative"),
+}
+
+
+@pytest.mark.parametrize("as_rep", [False, True], ids=["Automorphism", "from_reps"])
+@pytest.mark.parametrize("case", MALFORMED_C5_IMAGES)
+def test_malformed_images_are_automorphism_errors(case, as_rep):
+    G = build_cyclic(5)
+    images, reason = MALFORMED_C5_IMAGES[case]
+    with pytest.raises(AutomorphismError, match=reason):
+        if as_rep:
+            # the first row, the identity, is good
+            AutGroup.from_reps(G, [list(range(5)), images], lambda r, c: "raw")
+        else:
+            Automorphism(G, images)
+
+
 @pytest.mark.parametrize("swap", [(1, 2), (4000, 5039)])
 def test_generator_check_on_demand_group(swap):
     G = helpers.built("S7")  # 5040: checked without a table
@@ -166,10 +191,14 @@ def test_coset_decomposition_covers_without_repeats():
             assert k not in seen
             seen.add(k)
     assert len(seen) == len(A)
-    # every member knows its coset, and the rep is in its own coset
-    for idx, rep in enumerate(A.coset_reps):
-        assert A.coset_index(rep) == idx
-    assert {A.coset_index(a) for a in A.all} == {0, 1}
+    # every row names the representative of its coset, and coset_rows holds
+    # the first row of each coset
+    coset_keys = [{row.tobytes() for row in rep[inner_mat]} for rep in A.reps]
+    rep_of = [A.parts(j)[0] for j in range(len(A))]
+    for j, row in enumerate(A.all):
+        assert row.images.tobytes() in coset_keys[rep_of[j]]
+    assert A.coset_rows == sorted(rep_of.index(r) for r in range(len(A.reps)))
+    assert A.coset_reps == [A.all[j] for j in A.coset_rows]
 
 
 def test_inner_closed_under_composition():
@@ -267,22 +296,24 @@ def test_rows_are_sorted_and_formed_from_their_parts():
     keys = [a.key for a in A.all]
     assert keys == sorted(keys) and len(set(keys)) == len(A)
     G = A.parent
+    # the representatives are one read-only image matrix, a row per coset
+    assert A.reps.shape == (len(A.coset_reps), G.n) and not A.reps.flags.writeable
     for j in (0, 1, 700, len(A) - 1):
         r, c = A.parts(j)
         row = A.all[j]
         conj = [G.mul(G.mul(c, x), G.inverse(c)) for x in range(G.n)]
         # single images and a prefix are read before the row is formed
-        assert [row(x) for x in range(5)] == A.reps[r].images[conj[:5]].tolist()
-        assert row.prefix(9).tolist() == A.reps[r].images[conj[:9]].tolist()
-        assert row.images.tolist() == A.reps[r].images[conj].tolist()
-        assert A.index(row) == j
+        assert [row(x) for x in range(5)] == A.reps[r][conj[:5]].tolist()
+        assert row.prefix(9).tolist() == A.reps[r][conj[:9]].tolist()
+        assert row.images.tolist() == A.reps[r][conj].tolist()
 
 
 def test_autgroup_consistency_checks():
     G = build_alternating(5)
     A = compute_aut(G)
     ident, outer = A.coset_reps
-    same_coset = next(a for a in A.all[1:] if A.coset_index(a) == 0)
+    inner_rep = A.parts(0)[0]
+    same_coset = next(A.all[j] for j in range(1, len(A)) if A.parts(j)[0] == inner_rep)
     with pytest.raises(AutomorphismError, match="disjoint"):
         AutGroup.from_reps(
             G, np.stack([ident.images, same_coset.images, outer.images]), lambda r, c: "raw"
@@ -293,5 +324,3 @@ def test_autgroup_consistency_checks():
         AutGroup(G, list(A.all)[:-1])
     with pytest.raises(AutomorphismError, match="duplicate"):
         AutGroup(G, list(A.all) + [A.all[3]])
-    with pytest.raises(KeyError):
-        A.coset_index(identity_automorphism(build_alternating(5)))

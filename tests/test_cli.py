@@ -77,10 +77,14 @@ def test_verify_theorem_extended_scope(tmp_path):
 
 def test_verify_theorem_psl2_23_without_a_table():
     # order 6072: solvability is decided through on-demand products
-    results, _, code = cmd_verify_theorem(["PSL2(23)"])
+    results, table, code = cmd_verify_theorem(["PSL2(23)"])
     assert code == EXIT_OK
     (g,) = results["groups"]
     assert (g["order"], g["aut_size"], g["solvable"], g["all_fail"]) == (6072, 12144, False, True)
+    # the rows are formed on demand, through mul_many
+    assert result_digest(results, table) == (
+        "6e3fc8ae19455555132d4ebdef7d73e03708cc94ec676d75c9f2a77afc55ec0f"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def test_forged_collision_fails_the_recheck(monkeypatch, capsys, argv):
             G = alpha.parent
             h = next(x for x in range(1, G.n) if G.mul(G.power(x, k), alpha(x)) != 0)
             image = np.zeros(h + 1, dtype=np.int32)
-            v = CompletenessVerdict(G.name, alpha.provenance, k, False, image, (0, h))
+            v = CompletenessVerdict(False, image, (0, h))
         return v
 
     monkeypatch.setattr(cli, "is_k_complete", forged)
@@ -248,6 +252,12 @@ def test_pinned_report_digests():
     assert result_digest(results, table) == (
         "a51d54473e516e01b30d04f1ef9231d72598630b1602c089cddcb8b55818679d"
     )
+    # control rows, and the catalog's names in the rows
+    results, table, code = cmd_verify_theorem(["C3", "S4", "A5xC2"])
+    assert code == EXIT_OK
+    assert result_digest(results, table) == (
+        "15e2ed400e445bd9748347fe89546e087bf0b97e9f6780978052dc27787a75e8"
+    )
 
 
 @pytest.mark.parametrize(
@@ -264,6 +274,9 @@ def test_pinned_report_digests():
          "2b9dfad95215695ecfdc006ab8cb46e2c4649ff13e43d2405f4fe047abe619be"),
         ("PGL2(5)", -3, 3, False, True,
          "63d6b5e9f737028251e69a4ee8d07c0cab6f69c86484e6002826e51fd6cd9acf"),
+        # 1,152 coset rows from the brute search, in coset order
+        ("Q8 x Q8", -2, 2, False, False,
+         "13a06d706644ada6ee9a636e594756fc662f7827ceb4d2a41adefc3c8c8298b7"),
     ],
 )
 def test_pinned_spectrum_digests(expr, k_min, k_max, iterate, all_autos, digest):

@@ -237,9 +237,9 @@ def test_certificates_reverify():
 def test_forged_certificates_are_theorem_violations():
     # only a bug can build a certificate that fails its self-check
     with pytest.raises(TheoremViolationError, match="not a bijection"):
-        CompletenessVerdict("C3", "raw", 1, True, np.array([0, 1, 1]))
+        CompletenessVerdict(True, np.array([0, 1, 1]))
     with pytest.raises(TheoremViolationError, match="does not collide"):
-        CompletenessVerdict("C3", "raw", 1, False, np.array([0, 2, 1]), collision=(1, 2))
+        CompletenessVerdict(False, np.array([0, 2, 1]), collision=(1, 2))
 
 
 def test_1_completeness_is_constant_on_inn_cosets():
@@ -278,7 +278,7 @@ def test_collisions_transport_along_inn_cosets(name):
 
     aut = catalog_aut(name)
     G = aut.parent
-    rep_verdicts = [is_k_complete(rep, 1) for rep in aut.reps]
+    rep_verdicts = [is_k_complete(Automorphism(G, rep), 1) for rep in aut.reps]
     for j, row in enumerate(aut.all):
         r, c = aut.parts(j)
         rep_v = rep_verdicts[r]
@@ -293,8 +293,8 @@ def test_coset_constancy_fails_at_k2():
     verdicts = [is_k_complete(a, 2).verdict for a in A.all]
     assert sum(verdicts) == 15 and len(verdicts) == 20
     by_coset = {}
-    for a, v in zip(A.all, verdicts):
-        by_coset.setdefault(A.coset_index(a), set()).add(v)
+    for j, v in enumerate(verdicts):
+        by_coset.setdefault(A.parts(j)[0], set()).add(v)
     assert any(len(vs) == 2 for vs in by_coset.values())
 
 

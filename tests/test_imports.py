@@ -87,6 +87,37 @@ def test_every_private_name_is_referenced():
     assert dead_private_names(SRC) == []
 
 
+def write_only_attributes(src: Path) -> list[str]:
+    """Private attributes stored on an object (``obj._x = ...``) anywhere in
+    ``src`` that no module of it reads."""
+    stored, read = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+                elif node.attr.startswith("_") and not node.attr.endswith("__"):
+                    stored.add(f"{path.name}:{node.attr}")
+    return sorted(s for s in stored if s.split(":")[1] not in read)
+
+
+def test_write_only_attributes_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._kept, self._dropped = 1, 2\n"
+        "        self._read = 3\n"
+        "    def f(self):\n"
+        "        return self._kept + self._read\n"
+    )
+    assert write_only_attributes(tmp_path) == ["m.py:_dropped"]
+
+
+def test_every_private_attribute_is_read():
+    # an attribute that is stored and never read is dead state
+    assert write_only_attributes(SRC) == []
+
+
 _THREADS_SCRIPT = """
 import os
 import autmap
