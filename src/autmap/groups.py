@@ -1,4 +1,4 @@
-"""Finite groups materialized as dense index tables.
+"""Finite groups on dense indices, with product tables built on first read.
 
 Conventions shared by the whole package:
   * an element is its index, dense in 0..n-1, and index 0 is always the
@@ -11,18 +11,22 @@ Conventions shared by the whole package:
     matrices, pair order for products);
   * permutations compose right-to-left, (p*q)(x) = p(q(x)), matching the
     composition order used for automorphisms;
-  * the full n x n multiplication table is materialized for n <= 4096; larger
-    groups multiply on demand through vectorized arithmetic on the canonical
-    representations;
-  * tables, and the index lookups that fill them, are int16 (``TABLE_DTYPE``):
-    every index is below ``ORDER_CAP`` < 2^15, so a table takes half the bytes
-    of int32.  Values read from one are widened before arithmetic that could
+  * the full n x n multiplication table is built on first read of
+    ``GroupTable.table``, for n <= 4096; until then, and always for larger
+    groups, products are multiplied on demand through vectorized arithmetic
+    on the canonical representations;
+  * tables, the index lookups that fill them and the on-demand products of
+    the builders here are int16 (``TABLE_DTYPE``): every index is below
+    ``ORDER_CAP`` < 2^15, so a table takes half the bytes of int32, and a
+    product has one dtype whether it was read from a table or multiplied on
+    demand.  Values read from one are widened before arithmetic that could
     leave that range, as ``GroupTable.mul_many`` widens to int64;
-  * a materialized table is filled a block of rows at a time and read as one
-    flat array, products a*b as ``table.ravel().take(a*n + b)``: a 1-D take
-    is numpy's fast gather, where 2-D fancy indexing is its slow one.  The
-    on-demand kernels gather the same way, from the flat permutation array
-    and the flat row-product table;
+  * a table is filled a block of rows at a time, by the same row-block
+    routine whose blocks the self-check covered, and read as one flat array,
+    products a*b as ``table.ravel().take(a*n + b)``: a 1-D take is numpy's
+    fast gather, where 2-D fancy indexing is its slow one.  The on-demand
+    kernels gather the same way, from the flat permutation array and the
+    flat row-product table;
   * a 2x2 matrix product over GF(q) is exact, through the field's tables, but
     regrouped by rows: ``rowprod[u*q + v, y]`` packs the row vector (u, v)
     times matrix y, so the product of x and y packs as
@@ -30,19 +34,19 @@ Conventions shared by the whole package:
     lookup of that code, filled at every nonzero scalar multiple of each
     projective representative, gives its index without canonicalization.
     Row x of the table is thus two whole rows of rowprod, combined and
-    looked up;
+    looked up, and a pair product reads the same two entries and lookup;
   * every group carries a generating set (``GroupTable.generators``), on which
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
 
 Every constructed group is self-checked: two-sided identity and inverses,
-and associativity.  Associativity is exact for every group, materialized or
-multiplied on demand: (xy)s = x(ys) for all x, y and every generator s
-extends to every z = w*s by induction on word length, (xy)(ws) = ((xy)w)s =
-(x(yw))s = x((yw)s) = x(y(ws)) (Light's test), checked a block of rows at a
-time by 1-D takes from that block's products, read from the table or
-multiplied on demand.  Together the three make the table a group's, and a
-group's table is a Latin square, so that needs no check of its own.
+and associativity.  Associativity is exact for every group: (xy)s = x(ys)
+for all x, y and every generator s extends to every z = w*s by induction on
+word length, (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) = x(y(ws)) (Light's
+test), checked a block of rows at a time by 1-D takes from that block's
+products, read from a table given to the constructor or else made by the
+group's row-block routine.  Together the three make the products a group's,
+and a group's table is a Latin square, so that needs no check of its own.
 """
 
 from __future__ import annotations
@@ -86,27 +90,47 @@ def perm_label(images) -> str:
 class GroupTable:
     """A fully constructed finite group on indices 0..n-1.
 
-    Immutable after construction; all queries are pure.
+    All queries are pure.  The table is a cache of the checked products:
+    it is given to the constructor, or built on first read of ``table``
+    from the row blocks the self-check covered.  ``row_block_fn(rows)``
+    gives the products x*y for x in the slice ``rows`` and every y; without
+    one, it is ``mul_many_fn`` on those rows and all columns.
     """
 
-    def __init__(self, *, kind, name, labels, mul_many_fn, inv, meta=None, table=None):
+    def __init__(
+        self, *, kind, name, labels, mul_many_fn, inv, meta=None, table=None, row_block_fn=None
+    ):
         self.kind = kind
         self.name = name
         self.labels = labels
         self.n = len(labels)
         self.meta = meta or {}
         self._mul_many_fn = mul_many_fn
-        if table is None and self.n <= MATERIALIZE_CAP:
-            table = _materialize(self.n, mul_many_fn)
-        self.table = table
+        self._table = table
+        if table is not None:
+            row_block_fn = table.__getitem__
+        idx = np.arange(self.n, dtype=np.int64)
+        self._row_block = row_block_fn or (lambda rows: mul_many_fn(idx[rows, None], idx))
         self.inv = np.asarray(inv, dtype=np.int32)
         _verify_group(self)
 
     # -- multiplication -----------------------------------------------------
 
     @property
+    def table(self) -> np.ndarray | None:
+        """The n x n product table, filled a row block at a time on first
+        read; None above ``MATERIALIZE_CAP``."""
+        if self._table is None and self.n <= MATERIALIZE_CAP:
+            table = np.empty((self.n, self.n), dtype=TABLE_DTYPE)
+            for rows in _row_blocks(self.n):
+                table[rows] = self._row_block(rows)
+            self._table = table
+        return self._table
+
+    @property
     def is_materialized(self) -> bool:
-        return self.table is not None
+        """Whether the table has been built (or was given)."""
+        return self._table is not None
 
     def require_table(self) -> np.ndarray:
         if self.table is None:
@@ -120,13 +144,13 @@ class GroupTable:
         """Elementwise products of two broadcastable index arrays."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.table is not None:
-            return self.table.ravel().take(a * self.n + b)
+        if self._table is not None:
+            return self._table.ravel().take(a * self.n + b)
         return self._mul_many_fn(a, b)
 
     def mul(self, i: int, j: int) -> int:
-        if self.table is not None:
-            return int(self.table[i, j])
+        if self._table is not None:
+            return int(self._table[i, j])
         return int(self._mul_many_fn(np.array([i]), np.array([j]))[0])
 
     def inverse(self, i: int) -> int:
@@ -184,16 +208,6 @@ def _row_blocks(n: int):
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
-def _materialize(n: int, mul_many_fn) -> np.ndarray:
-    """The n x n table, a block of rows at a time; every builder's
-    ``mul_many`` takes broadcastable index arrays."""
-    table = np.empty((n, n), dtype=TABLE_DTYPE)
-    idx = np.arange(n, dtype=np.int64)
-    for rows in _row_blocks(n):
-        table[rows] = mul_many_fn(idx[rows, None], idx)
-    return table
-
-
 def _verify_group(gt: GroupTable):
     n = gt.n
     idx = np.arange(n, dtype=np.int64)
@@ -203,10 +217,13 @@ def _verify_group(gt: GroupTable):
         raise GroupBuildError(f"{gt.name}: inverse table is wrong")
     rights = [gt.mul_many(idx, g) for g in gt.generators]  # z -> zg
     for rows in _row_blocks(n):
-        # (xy)g == x(yg) for x in rows, every y and every generator g
-        block = gt.table[rows] if gt.table is not None else gt.mul_many(idx[rows, None], idx)
+        # (xy)g == x(yg) for x in rows, every y and every generator g; the
+        # block is widened to an index once, not once per generator inside
+        # the take, and stays narrow where it is the source
+        block = gt._row_block(rows)
+        index = block.astype(np.intp)
         for right_g in rights:
-            if not np.array_equal(np.take(right_g, block), np.take(block, right_g, axis=1)):
+            if not np.array_equal(right_g.take(index), block.take(right_g, axis=1)):
                 raise GroupBuildError(f"{gt.name}: multiplication is not associative")
 
 
@@ -293,7 +310,7 @@ def build_cyclic(n: int) -> GroupTable:
     check_order_cap(f"C{n}", predicted_atomic_order("C", n))
 
     def mul_many(a, b):
-        return ((a + b) % n).astype(np.int32)
+        return ((a + b) % n).astype(TABLE_DTYPE)
 
     inv = [(n - i) % n for i in range(n)]
     return GroupTable(
@@ -314,7 +331,7 @@ def build_dihedral(n: int) -> GroupTable:
         r1, s1 = a // 2, a % 2
         r2, s2 = b // 2, b % 2
         r = np.where(s1 == 0, r1 + r2, r1 - r2) % n
-        return (2 * r + (s1 ^ s2)).astype(np.int32)
+        return (2 * r + (s1 ^ s2)).astype(TABLE_DTYPE)
 
     def lab(r, s):
         if s == 0:
@@ -484,8 +501,8 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     ).reshape(q * q, order)
     top, bottom = A * q + B, C * q + D
 
-    def product_index(top_prods, bottom_prods, out=None):
-        return np.take(lookup, top_prods.astype(np.int32) * (q * q) + bottom_prods, out=out)
+    def product_index(top_prods, bottom_prods):
+        return lookup.take(top_prods.astype(np.int32) * (q * q) + bottom_prods)
 
     # on demand, x*y reads rowprod at (top[x], y) and (bottom[x], y) by 1-D takes
     flat, top_at, bottom_at = rowprod.ravel(), top * order, bottom * order
@@ -493,14 +510,10 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     def mul_many(x, y):
         return product_index(flat.take(top_at[x] + y), flat.take(bottom_at[x] + y))
 
-    table = None
-    if order <= MATERIALIZE_CAP:
-        # row x is rowprod's whole rows top[x] and bottom[x], combined
-        table = np.empty((order, order), dtype=TABLE_DTYPE)
-        for rows in _row_blocks(order):
-            product_index(
-                rowprod.take(top[rows], axis=0), rowprod.take(bottom[rows], axis=0), table[rows]
-            )
+    def row_block(rows):
+        # row x is rowprod's whole rows top[x] and bottom[x], combined: the
+        # same entries and lookup that mul_many reads pair by pair
+        return product_index(rowprod.take(top[rows], axis=0), rowprod.take(bottom[rows], axis=0))
 
     # inverse of [a b; c d] is the adjugate [d -b; -c a], up to a scalar
     # (exactly, in SL2)
@@ -515,7 +528,7 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
         mul_many_fn=mul_many,
         inv=inv,
         meta={"q": q, "field": F, "codes": (A, B, C, D), "code_lookup": lookup},
-        table=table,
+        row_block_fn=row_block,
     )
 
 
@@ -594,6 +607,9 @@ def direct_product(G: GroupTable, H: GroupTable) -> GroupTable:
     name = f"{G.name} x {H.name}"
     check_order_cap(name, n1 * n2)
     labels = [f"({G.labels[i]},{H.labels[j]})" for i in range(n1) for j in range(n2)]
+    # the self-check alone multiplies in each factor (n1*n2)^2 times, more
+    # than the n1^2 and n2^2 products of the factors' tables: build those
+    G.table, H.table
 
     def mul_many(x, y):
         x1, x2 = x // n2, x % n2

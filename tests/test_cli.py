@@ -345,6 +345,34 @@ def test_main_writes_json_report(tmp_path, capsys):
     assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize(
+    "results, table",
+    [
+        ({"z": [1, 2.5, None], "a": "\u00e9"}, [{"k": 1, "group": "A5"}, {"b": True}]),
+        ({}, []),
+        cmd_mappings("S4", cap=ORDER_CAP)[:2],
+    ],
+)
+def test_report_pieces_are_the_canonical_encoding(tmp_path, capsys, results, table):
+    # the results and each table row are encoded once, as pieces; the digest
+    # and the written bytes must equal those of the whole-payload encoding
+    import hashlib
+
+    from autmap.reports import canonical_json, write_report
+
+    blob = canonical_json({"results": results, "table": table}).encode("ascii")
+    assert result_digest(results, table) == hashlib.sha256(blob).hexdigest()
+    report = build_report("spectrum", results, table, scope=["S4"], seed=3, caps={}, wall_time_s=1)
+    assert report["manifest"]["digest"] == hashlib.sha256(blob).hexdigest()
+    expected = canonical_json(report) + "\n"
+    write_report(report, "json", str(tmp_path / "r.json"))
+    assert (tmp_path / "r.json").read_text() == expected
+    write_report(report, "json", None)
+    assert capsys.readouterr().out == expected
+    write_report(json.loads(expected), "json", None)  # a plain dict, as read back
+    assert capsys.readouterr().out == expected
+
+
 def test_main_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     code = main(["spectrum", "--group", "C5", "--k-min", "0", "--k-max", "2",

@@ -241,7 +241,7 @@ def test_matrix_table_matches_reference(build, q):
 @pytest.mark.parametrize("build, q", [(build_psl2, 23), (build_sl2, 17), (build_pgl2, 19)])
 def test_on_demand_matrix_products_match_reference(build, q):
     G = built(f"{build.__name__.removeprefix('build_').upper()}({q})")
-    assert not G.is_materialized
+    assert G.table is None and not G.is_materialized
     product = _reference_mul(G)
     x, y = np.random.default_rng(q).integers(0, G.n, size=(2, 2000))
     expected = [product(int(i), int(j)) for i, j in zip(x, y)]
@@ -292,9 +292,10 @@ def test_psl2_dets_are_squares():
 
 def test_on_demand_multiplication():
     G = built("S7")  # 5040 > materialization cap
-    assert not G.is_materialized
+    assert G.table is None and not G.is_materialized  # reading it builds nothing
     with pytest.raises(CapExceededError):
         G.require_table()
+    assert not G.is_materialized
     # spot-check associativity and inverses through the on-demand path
     rng = np.random.default_rng(1)
     xs, ys = rng.integers(0, G.n, size=(2, 50))
@@ -566,12 +567,21 @@ def test_table_is_pinned(name):
     assert hashlib.sha256(table.tobytes()).hexdigest()[:16] == TABLE_HASHES[name]
 
 
-@pytest.mark.parametrize("kind", ["SL2", "PSL2", "PGL2"])
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize(
+    "q, kind",
+    [(q, k) for q in (4, 5, 7, 8, 9) for k in ("SL2", "PSL2", "PGL2")]
+    + [(16, "PSL2"), (17, "PSL2"), (19, "PSL2")],
+)
 def test_matrix_table_matches_on_demand_products(kind, q):
-    G = build_atomic(kind, q)
+    # the table is filled by row gathers; the on-demand pair products read
+    # the same rowprod entries and lookup, compared a row block at a time
+    from autmap.groups import _row_blocks
+
+    G = built(f"{kind}({q})")
     idx = np.arange(G.n, dtype=np.int64)
-    assert np.array_equal(G.require_table(), G._mul_many_fn(idx[:, None], idx[None, :]))
+    T = G.require_table()
+    for rows in _row_blocks(G.n):
+        assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx[None, :]))
 
 
 @pytest.mark.parametrize("text", ["S4", "PSL2(7)", "A5 x C2"])
@@ -670,3 +680,22 @@ def test_psl2_16_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_table_is_built_on_first_read():
+    G = build_psl2(16)
+    assert not G.is_materialized
+    idx = np.arange(G.n, dtype=np.int64)
+    on_demand = G.mul_many(idx[-5:, None], idx)
+    T = G.table
+    assert G.is_materialized and G.table is T and G.require_table() is T
+    assert T.dtype == np.int16 and T.shape == (G.n, G.n)
+    assert np.array_equal(T[-5:], on_demand)
+    assert np.array_equal(G.mul_many(idx[-5:, None], idx), on_demand)
+
+
+def test_direct_product_builds_its_factors_tables():
+    # the product's kernels multiply in each factor (n1*n2)^2 times over
+    G = direct_product(build_psl2(7), build_cyclic(25))
+    assert not G.is_materialized
+    assert all(F.is_materialized for F in G.meta["factors"])

@@ -1,9 +1,11 @@
-"""Only the group layer and the two n^2 algorithms read a group's table.
+"""Only the group layer and the n^2 algorithms read a group's table.
 
-Everything else multiplies through ``GroupTable.mul_many``, which works with
-or without a materialized table.  The readers are the brute Aut search
-(automorphisms) and the complete-mapping search (mappings); each guards its
-read with ``require_table()``.  This
+Reading ``.table`` builds the table (order <= 4096), so a read costs its
+n^2 products and n^2 int16 entries.  Everything else multiplies through
+``GroupTable.mul_many``, which reads the table once it has been built and
+multiplies on demand until then.  The readers are the brute Aut search and
+the row scan's conjugations (automorphisms) and the complete-mapping search
+(mappings); the two searches read it through ``require_table()``.  This
 parses each module with ``ast`` and collects those that read a ``.table`` or
 ``.require_table`` attribute."""
 

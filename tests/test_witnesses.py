@@ -207,6 +207,29 @@ def test_psl2_witness_q9_both_indices():
         assert wit.exponent == (4 if i == 0 else 2)
 
 
+def test_psl2_witness_runs_without_a_table():
+    # the witness validates its automorphism through mul_many and makes two
+    # scalar products, so its group's 32 MiB table is never built
+    import tracemalloc
+
+    from autmap.groups import _row_blocks
+
+    tracemalloc.start()
+    try:
+        wit = psl2_witness(16, 0, "char2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    G = wit.group
+    assert wit.verified and not G.is_materialized
+    assert peak < 8 * 2**20
+    T = G.table  # a later read builds the table, equal to the on-demand products
+    assert G.is_materialized
+    idx = np.arange(G.n, dtype=np.int64)
+    for rows in _row_blocks(G.n):
+        assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx))
+
+
 def test_psl2_witness_variant_validation():
     with pytest.raises(ValueError):
         psl2_witness(5, 0, "q3mod4")
