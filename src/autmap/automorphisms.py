@@ -24,7 +24,6 @@ Composition order matches function composition: (a*b)(g) = a(b(g)).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -124,12 +123,12 @@ class Automorphism:
 
     def order(self) -> int:
         """Order as an element of Aut(G) (= its order as a permutation)."""
-        n = self.parent.n
+        images = self.images
+        ident = np.arange(self.parent.n)
         k = 1
-        cur = self.images
-        ident = np.arange(n)
+        cur = images
         while not np.array_equal(cur, ident):
-            cur = self.images[cur]
+            cur = images[cur]
             k += 1
         return k
 
@@ -160,8 +159,7 @@ def fixed_points(alpha: Automorphism) -> list[int]:
 class _Row(Automorphism):
     """``rep`` o iota_c, an automorphism by construction (``rep`` is one, and
     conjugation is one by the group axioms), so it is not re-checked.  Its
-    images are formed on first use; a prefix of them, or a single image, is
-    read without forming them."""
+    images, a prefix of them, or a single image are formed on each read."""
 
     def __init__(self, parent: GroupTable, rep: np.ndarray, c: int, provenance: str):
         self.parent = parent
@@ -169,15 +167,11 @@ class _Row(Automorphism):
         self._rep = rep
         self._c = c
 
-    @functools.cached_property
+    @property
     def images(self) -> np.ndarray:
-        images = self._rep.take(_conjugation(self.parent, self._c))
-        images.setflags(write=False)
-        return images
+        return self.prefix(None)
 
     def prefix(self, count: int | None) -> np.ndarray:
-        if count is None or "images" in self.__dict__:
-            return self.images[:count]
         return self._rep.take(_conjugation(self.parent, self._c, count))
 
     def __call__(self, x: int) -> int:

@@ -139,11 +139,11 @@ def cmd_verify_theorem(
     scope: list[str] | None, cap: int = ORDER_CAP
 ) -> tuple[dict, list[dict], int]:
     names = scope if scope else [e.name for e in NONSOLVABLE_ENTRIES]
-    for name in names:
-        get_entry(name)  # validate early: unknown names are input errors
+    # looked up before any group is built: unknown names are input errors
+    entries = [get_entry(name) for name in names]
 
-    def one_group(name):
-        entry = get_entry(name)
+    def one_group(entry):
+        name = entry.name
         try:
             check_order_cap(name, predicted_order(parse_group_expr(entry.expr)), cap)
             G = catalog_group(name)
@@ -168,7 +168,7 @@ def cmd_verify_theorem(
             result["all_fail"] = complete_count == 0
         return result, rows
 
-    pairs = [one_group(name) for name in names]
+    pairs = [one_group(entry) for entry in entries]
     results = {"groups": [p[0] for p in pairs]}
     table = [row for p in pairs for row in p[1]]
     violations = [
@@ -434,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     caps = {"order_cap": args.cap}
     try:
         if args.command == "verify-theorem":
-            scope = args.scope if args.scope else [e.name for e in NONSOLVABLE_ENTRIES]
             results, table, code = cmd_verify_theorem(args.scope, args.cap)
+            scope = [g["group"] for g in results["groups"]]
         elif args.command == "spectrum":
             scope = [args.group]
             results, table, code = cmd_spectrum(

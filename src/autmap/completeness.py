@@ -127,10 +127,10 @@ def iterate_product_vec(alpha: Automorphism, k: int) -> np.ndarray:
     """The vector g * a(g) * ... * a^k(g) (k >= 0)."""
     G = alpha.parent
     acc = np.arange(G.n, dtype=np.int32)
-    power = alpha.images
+    images = power = alpha.images
     for _ in range(k):
         acc = np.asarray(G.mul_many(acc, power), dtype=np.int32)
-        power = alpha.images[power]
+        power = images[power]
     return acc
 
 

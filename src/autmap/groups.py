@@ -44,9 +44,9 @@ and associativity.  Associativity is exact for every group: (xy)s = x(ys)
 for all x, y and every generator s extends to every z = w*s by induction on
 word length, (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s) = x(y(ws)) (Light's
 test), checked a block of rows at a time by 1-D takes from that block's
-products, read from a table given to the constructor or else made by the
-group's row-block routine.  Together the three make the products a group's,
-and a group's table is a Latin square, so that needs no check of its own.
+products, made by the group's row-block routine.  Together the three make
+the products a group's, and a group's table is a Latin square, so that
+needs no check of its own.
 """
 
 from __future__ import annotations
@@ -90,25 +90,21 @@ def perm_label(images) -> str:
 class GroupTable:
     """A fully constructed finite group on indices 0..n-1.
 
-    All queries are pure.  The table is a cache of the checked products:
-    it is given to the constructor, or built on first read of ``table``
-    from the row blocks the self-check covered.  ``row_block_fn(rows)``
-    gives the products x*y for x in the slice ``rows`` and every y; without
-    one, it is ``mul_many_fn`` on those rows and all columns.
+    All queries are pure.  The table is a cache of the checked products,
+    built on first read of ``table`` from the row blocks the self-check
+    covered.  ``row_block_fn(rows)`` gives the products x*y for x in the
+    slice ``rows`` and every y; without one, it is ``mul_many_fn`` on those
+    rows and all columns.
     """
 
-    def __init__(
-        self, *, kind, name, labels, mul_many_fn, inv, meta=None, table=None, row_block_fn=None
-    ):
+    def __init__(self, *, kind, name, labels, mul_many_fn, inv, meta=None, row_block_fn=None):
         self.kind = kind
         self.name = name
         self.labels = labels
         self.n = len(labels)
         self.meta = meta or {}
         self._mul_many_fn = mul_many_fn
-        self._table = table
-        if table is not None:
-            row_block_fn = table.__getitem__
+        self._table = None
         idx = np.arange(self.n, dtype=np.int64)
         self._row_block = row_block_fn or (lambda rows: mul_many_fn(idx[rows, None], idx))
         self.inv = np.asarray(inv, dtype=np.int32)
@@ -129,7 +125,7 @@ class GroupTable:
 
     @property
     def is_materialized(self) -> bool:
-        """Whether the table has been built (or was given)."""
+        """Whether the table has been built."""
         return self._table is not None
 
     def require_table(self) -> np.ndarray:
@@ -149,9 +145,7 @@ class GroupTable:
         return self._mul_many_fn(a, b)
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self._mul_many_fn(np.array([i]), np.array([j]))[0])
+        return int(self.mul_many(i, j))
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
@@ -258,21 +252,16 @@ def closure_tree(G: GroupTable, gens):
     return mask, np.concatenate(members), (np.concatenate(src), np.concatenate(genpos))
 
 
-def closure_mask(G: GroupTable, gens) -> np.ndarray:
-    """Membership mask of the subgroup generated by ``gens``."""
-    return closure_tree(G, gens)[0]
-
-
 def span_mask(G: GroupTable, elements) -> tuple[np.ndarray, list[int]]:
     """Membership mask of the subgroup generated by ``elements``, and the
     generators it was closed over: in the given order, each element outside
     the span of those taken before it."""
     gens: list[int] = []
-    mask = closure_mask(G, gens)
+    mask = closure_tree(G, gens)[0]
     for x in map(int, elements):
         if not mask[x]:
             gens.append(x)
-            mask = closure_mask(G, gens)
+            mask = closure_tree(G, gens)[0]
     return mask, gens
 
 
@@ -383,7 +372,6 @@ def build_quaternion8() -> GroupTable:
         labels=labels,
         mul_many_fn=mul_many,
         inv=inv,
-        table=table,
     )
 
 

@@ -19,6 +19,7 @@ from autmap.groups import (
     build_psl2,
     build_symmetric,
     center,
+    conjugations,
     direct_product,
 )
 from autmap.parser import elaborate_text
@@ -302,10 +303,23 @@ def test_rows_are_sorted_and_formed_from_their_parts():
         r, c = A.parts(j)
         row = A.all[j]
         conj = [G.mul(G.mul(c, x), G.inverse(c)) for x in range(G.n)]
-        # single images and a prefix are read before the row is formed
+        # single images, a prefix and the full images agree
         assert [row(x) for x in range(5)] == A.reps[r][conj[:5]].tolist()
         assert row.prefix(9).tolist() == A.reps[r][conj[:9]].tolist()
         assert row.images.tolist() == A.reps[r][conj].tolist()
+
+
+def test_row_images_are_formed_on_each_read():
+    A = compute_aut(build_alternating(6))
+    G = A.parent
+    for j in (0, 1, 700, len(A) - 1):
+        row = A.all[j]
+        keys = set(vars(row))
+        first, second = row.images, row.images
+        r, c = A.parts(j)
+        expected = A.reps[r].take(conjugations(G, [c], np.arange(G.n))[0])
+        assert np.array_equal(first, second) and np.array_equal(first, expected)
+        assert set(vars(row)) == keys  # nothing is cached on the handle
 
 
 def test_autgroup_consistency_checks():

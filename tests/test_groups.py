@@ -17,7 +17,6 @@ from autmap.groups import (
     build_sl2,
     build_symmetric,
     center,
-    closure_mask,
     closure_tree,
     conjugacy_classes,
     direct_product,
@@ -302,6 +301,7 @@ def test_on_demand_multiplication():
     for x, y in zip(xs, ys):
         assert G.mul(int(x), G.inverse(int(x))) == 0
         assert G.mul(G.mul(int(x), int(y)), G.inverse(int(y))) == int(x)
+        assert G.mul(int(x), int(y)) == G.mul_many(x, y)
 
 
 def test_permutation_products_broadcast_a_scalar_operand():
@@ -377,7 +377,7 @@ def test_generators_generate_every_catalog_group():
 
     for entry in CATALOG:
         G = catalog_group(entry.name)
-        assert closure_mask(G, G.generators).all(), entry.name
+        assert closure_tree(G, G.generators)[0].all(), entry.name
 
 
 @pytest.mark.parametrize("text", ["S7", "PSL2(7) x C25"])
@@ -385,8 +385,8 @@ def test_generators_generate_on_demand_groups(text):
     G = built(text)
     assert not G.is_materialized
     assert G.generators[0] == 1  # the least non-identity index comes first
-    assert closure_mask(G, G.generators).all()
-    assert not closure_mask(G, G.generators[:-1]).all()
+    assert closure_tree(G, G.generators)[0].all()
+    assert not closure_tree(G, G.generators[:-1])[0].all()
     assert len(closure(G, list(G.generators))) == G.n  # pure-Python reference
 
 
@@ -424,7 +424,6 @@ def test_construction_rejects_nonassociative_loop():
             labels=[str(i) for i in range(5)],
             mul_many_fn=lambda a, b: table[a, b],
             inv=list(range(5)),
-            table=table,
         )
 
 
@@ -446,7 +445,6 @@ def test_construction_rejects_swapped_table_entries(text):
             labels=G.labels,
             mul_many_fn=lambda a, b: table[a, b],
             inv=G.inv,
-            table=table,
         )
 
 
@@ -483,7 +481,6 @@ def _table_group(G, table, name):
         labels=G.labels,
         mul_many_fn=lambda a, b: table[a, b],
         inv=G.inv,
-        table=table,
     )
 
 
@@ -584,13 +581,21 @@ def test_matrix_table_matches_on_demand_products(kind, q):
         assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx[None, :]))
 
 
-@pytest.mark.parametrize("text", ["S4", "PSL2(7)", "A5 x C2"])
+@pytest.mark.parametrize("text", ["S4", "PSL2(7)", "A5 x C2", "A5"])
 def test_table_mul_many_matches_indexing(text):
     from autmap.parser import elaborate_text
 
     G = elaborate_text(text)
-    T = G.require_table()
     n = G.n
+    idx = np.arange(n)
+
+    def mul_is_mul_many():
+        scalar = [[G.mul(i, j) for j in range(n)] for i in range(n)]
+        return scalar == G.mul_many(idx[:, None], idx).tolist()
+
+    assert not G.is_materialized and mul_is_mul_many()  # multiplied on demand
+    T = G.require_table()
+    assert mul_is_mul_many()  # read from the table
     rng = np.random.default_rng(1)
     a, b = rng.integers(0, n, size=(2, 200))
     assert G.mul_many(int(a[0]), int(b[0])) == T[a[0], b[0]]
@@ -692,6 +697,14 @@ def test_table_is_built_on_first_read():
     assert T.dtype == np.int16 and T.shape == (G.n, G.n)
     assert np.array_equal(T[-5:], on_demand)
     assert np.array_equal(G.mul_many(idx[-5:, None], idx), on_demand)
+
+
+def test_quaternion8_table_is_built_on_first_read():
+    G = build_quaternion8()
+    assert not G.is_materialized
+    idx = np.arange(G.n)
+    products = G.mul_many(idx[:, None], idx)
+    assert np.array_equal(G.table, products) and G.is_materialized
 
 
 def test_direct_product_builds_its_factors_tables():
