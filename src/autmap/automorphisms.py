@@ -2,11 +2,11 @@
 
 An automorphism is stored as a full index bijection over its parent group,
 which makes every downstream bijectivity scan a flat table lookup.  Aut(G) is
-held as one read-only (r x n) image matrix, one row per Inn(G)-coset and
-validated in one pass per generator, together with the conjugations
+held once, as one read-only (r x n) image matrix, one row per Inn(G)-coset
+and validated in one pass per generator, together with the conjugations
 x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c are addressed
-by position and their images formed on demand.  The representatives are
-found either
+by position and formed, images included, each time they are read.  The
+representatives are found either
 
   * by brute backtracking over the images of ``G.generators`` (|G| <= 512),
     the generating set every automorphism is validated on: candidate images
@@ -211,20 +211,19 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 class AutGroup:
     """Aut(G) held as its Inn(G)-cosets: ``reps``, a read-only (r x n) image
     matrix with one validated representative per coset, times Inn(G) as
-    conjugation rows.  Rows are addressed by position: ``parts(j)`` names
-    row j as (row of ``reps``, c), and ``all[j]`` is a handle that forms the
-    images of rep_r o iota_c only when they are read.
-
-    ``all``, ``inner`` and ``coset_reps`` are each sorted by image sequence;
-    the transversal is the lexicographically least member of each coset, at
-    the positions ``coset_rows`` of ``all``, and ``inner`` is the rows of
-    the coset of the identity.
+    conjugation rows.  It is the sequence of its rows, sorted by image
+    sequence and addressed by position: ``parts(j)`` names row j as (row of
+    ``reps``, c), and ``aut[j]`` forms a handle for rep_r o iota_c on each
+    read (an IndexError past the last row ends iteration), whose images are
+    formed only when they are read.  ``coset_rows`` holds the position of
+    each coset's lexicographically least row, row 0 (the identity) among
+    them; ``all`` is the AutGroup itself.
 
     Constructed from every automorphism of G, in any order (anything with
-    ``images`` and ``provenance``, such as another AutGroup's ``all``), each
-    row keeps its given provenance; ``from_reps`` takes an image matrix with
-    one row per coset and a naming rule.  Either way the representatives
-    are validated here, exactly, in one pass per generator over the whole
+    ``images`` and ``provenance``, such as another AutGroup), each row keeps
+    its given provenance; ``from_reps`` takes an image matrix with one row
+    per coset and a naming rule.  Either way the representatives are
+    validated here, exactly, in one pass per generator over the whole
     matrix, and only they are: every other row is one of them composed with
     a conjugation.
     """
@@ -243,11 +242,12 @@ class AutGroup:
             if images[i, :width].tobytes() not in covered:
                 reps.append(i)
                 covered.update(key.tobytes() for key in images[i][inner_prefix])
-        self._setup(parent, images[reps], cs, lambda r, c: autos[reps[r]].provenance)
-        if not np.array_equal(np.stack([a.images for a in self.all]), images[order]):
+        names = np.array([autos[i].provenance for i in order])  # row j is given row order[j]
+        self._setup(parent, images[reps], cs, lambda j, r, c: str(names[j]))
+        if len(self) != len(autos) or not np.array_equal(
+            np.stack([a.images for a in self]), images[order]
+        ):
             raise AutomorphismError("given rows are not whole Inn(G)-cosets without duplicates")
-        for a, i in zip(self.all, order):
-            a.provenance = autos[i].provenance
 
     @classmethod
     def from_reps(cls, parent: GroupTable, images, tag) -> "AutGroup":
@@ -255,10 +255,10 @@ class AutGroup:
         (r x n) matrix ``images``; ``tag(r, c)`` names the row formed from
         representative r and conjugator c, and ``tag(r, 0)`` representative r."""
         self = cls.__new__(cls)
-        self._setup(parent, images, _conjugators(parent), tag)
+        self._setup(parent, images, _conjugators(parent), lambda j, r, c: tag(r, c))
         return self
 
-    def _setup(self, parent, images, cs, tag):
+    def _setup(self, parent, images, cs, name):
         self.parent = parent
         self.reps = _validated(parent, images)
         width = _prefix_width(parent)
@@ -272,29 +272,26 @@ class AutGroup:
             raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
         self._rep_of, c_pos = np.divmod(order, len(cs))
         self._c_of = cs[c_pos]
-        # rows are light handles: each forms its images when they are read,
-        # and the rows of a coset share one view of its representative
-        views = list(self.reps)
-        self.all = [
-            _Row(parent, views[r], c, tag(r, c))
-            for r, c in zip(self._rep_of.tolist(), self._c_of.tolist())
-        ]
+        self._name = name  # name(j, r, c): row j, formed from reps[r] and conjugator c
         self.coset_rows = np.sort(np.unique(self._rep_of, return_index=True)[1]).tolist()
-        self.coset_reps = [self.all[j] for j in self.coset_rows]
-        # row 0 is the identity, so its coset is Inn(G)
-        inner = np.flatnonzero(self._rep_of == self._rep_of[0])
-        self.inner = [self.all[j] for j in inner.tolist()]
+
+    all = property(lambda self: self, doc="The AutGroup itself, the sequence of its rows.")
 
     def parts(self, j: int) -> tuple[int, int]:
         return int(self._rep_of[j]), int(self._c_of[j])
 
+    def __getitem__(self, j: int) -> _Row:
+        r, c = self.parts(j)
+        return _Row(self.parent, self.reps[r], c, self._name(j, r, c))
+
     def __len__(self):
-        return len(self.all)
+        return len(self._rep_of)
 
     def __repr__(self):
+        cosets = len(self.coset_rows)
         return (
-            f"AutGroup({self.parent.name}, |Aut|={len(self.all)}, "
-            f"|Inn|={len(self.inner)}, cosets={len(self.coset_reps)})"
+            f"AutGroup({self.parent.name}, |Aut|={len(self)}, "
+            f"|Inn|={len(self) // cosets}, cosets={cosets})"
         )
 
 

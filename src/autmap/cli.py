@@ -102,14 +102,14 @@ def _certificate_text(verdict) -> str:
 
 def _scan(G, aut, rows, ks, group: str, verdict_key: str, iterate: bool = False) -> list[dict]:
     """The report rows of the k-completeness scan: one per k in ``ks`` for
-    each position j in ``rows`` of Aut(G)'s rows ``aut.all``.  A report row
+    each position j in ``rows`` of Aut(G)'s rows ``aut[j]``.  A report row
     numbers its automorphism by its place in ``rows`` and holds the verdict
     under ``verdict_key``; with ``iterate`` it also says whether the iterate
     map is bijective.  Every failure certificate is re-checked before the
     rows are returned."""
     table, failed, nfail = [], np.empty((len(rows) * len(ks), 5), dtype=np.int32), 0
     for idx, j in enumerate(rows):
-        alpha = aut.all[j]
+        alpha = aut[j]
         for k in ks:
             v = is_k_complete(alpha, k)
             if not v.verdict:
@@ -163,7 +163,7 @@ def cmd_verify_theorem(
         else:
             complete_count = sum(row["verdict"] for row in rows)
             result["aut_size"] = len(aut)
-            result["inner_size"] = len(aut.inner)
+            result["inner_size"] = len(aut) // len(aut.coset_rows)  # |Inn(G)| rows per coset
             result["one_complete_found"] = complete_count
             result["all_fail"] = complete_count == 0
         return result, rows
@@ -264,7 +264,7 @@ def cmd_witness_wreath(base_expr: str, n: int, seed: int, cap: int) -> tuple[dic
     S = elaborate_text(base_expr, cap)
     aut = compute_aut(S, "auto")
     rng = np.random.default_rng(seed)
-    alphas = tuple(aut.all[int(j)] for j in rng.integers(0, len(aut.all), size=n))
+    alphas = tuple(aut[int(j)] for j in rng.integers(0, len(aut), size=n))
     sigma = tuple(int(x) for x in rng.permutation(n))
     w = WreathAut(S, n, alphas, sigma)
     wit = find_inverted_witness(w)
@@ -405,7 +405,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="one row per automorphism instead of per Inn-coset representative",
     )
 
-    p = sub.add_parser("witness", parents=[common], help="construct inverted-element witnesses")
+    p = sub.add_parser("witness", help="construct inverted-element witnesses")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
     wp = wsub.add_parser("psl2", parents=[common])
     wp.add_argument("--q", type=int, required=True)

@@ -132,6 +132,12 @@ def full_brute_aut(G: GroupTable) -> automorphisms.AutGroup:
     )
 
 
+def inner_rows(A: automorphisms.AutGroup) -> list:
+    """The rows of Inn(G) in ``A``, in order: the coset of row 0, the identity."""
+    inner = A.parts(0)[0]
+    return [A[j] for j in range(len(A)) if A.parts(j)[0] == inner]
+
+
 def perm_parity(images) -> int:
     """0 for an even permutation, 1 for an odd one: a cycle of length L is
     L - 1 transpositions."""

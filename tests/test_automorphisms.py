@@ -110,14 +110,14 @@ def test_compose_and_inverse():
 def test_aut_of_c5():
     A = compute_aut(build_cyclic(5), "brute")
     assert len(A) == 4
-    assert len(A.inner) == 1
+    assert len(helpers.inner_rows(A)) == 1
 
 
 def test_aut_of_a5():
     A = compute_aut(build_alternating(5), "brute")
     assert len(A) == 120
-    assert len(A.inner) == 60
-    assert len(A.coset_reps) == 2
+    assert len(helpers.inner_rows(A)) == 60
+    assert len(A.coset_rows) == 2
 
 
 def test_aut_of_a5_x_c2():
@@ -128,8 +128,8 @@ def test_aut_of_a5_x_c2():
 def test_aut_psl2_8_structured():
     A = compute_aut(build_psl2(8), "psl2_structured")
     assert len(A) == 1512  # 504 * 3
-    assert len(A.inner) == 504
-    assert len(A.coset_reps) == 3
+    assert len(helpers.inner_rows(A)) == 504
+    assert len(A.coset_rows) == 3
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
@@ -156,8 +156,8 @@ def test_brute_matches_full_enumeration(text):
     assert len(A) == len(ref)
     assert [a.images.tolist() for a in A.all] == [a.images.tolist() for a in ref.all]
     assert [a.provenance for a in A.all] == [a.provenance for a in ref.all]
-    assert [a.key for a in A.coset_reps] == [a.key for a in ref.coset_reps]
-    assert [a.key for a in A.inner] == [a.key for a in ref.inner]
+    assert [A[j].key for j in A.coset_rows] == [ref[j].key for j in ref.coset_rows]
+    assert [a.key for a in helpers.inner_rows(A)] == [a.key for a in helpers.inner_rows(ref)]
 
 
 @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def test_brute_search_keeps_one_tuple_per_coset(text, cosets, order):
     G = elaborate_text(text)
     survivors = _brute_aut_images(G)
     A = compute_aut(G, "brute")
-    assert len(survivors) == len(A.coset_reps) == len(A.reps)
+    assert len(survivors) == len(A.coset_rows) == len(A.reps)
     assert len(survivors) == cosets
     assert len(A) == order
     # the identity is kept as the representative of Inn(G)
@@ -184,10 +184,10 @@ def test_inner_size_is_order_over_center():
 
 def test_coset_decomposition_covers_without_repeats():
     A = compute_aut(build_alternating(5), "brute")
-    inner_mat = np.stack([i.images for i in A.inner])
+    inner_mat = np.stack([i.images for i in helpers.inner_rows(A)])
     seen = set()
-    for rep in A.coset_reps:
-        for row in rep.images[inner_mat]:
+    for j in A.coset_rows:
+        for row in A[j].images[inner_mat]:
             k = row.tobytes()
             assert k not in seen
             seen.add(k)
@@ -199,14 +199,17 @@ def test_coset_decomposition_covers_without_repeats():
     for j, row in enumerate(A.all):
         assert row.images.tobytes() in coset_keys[rep_of[j]]
     assert A.coset_rows == sorted(rep_of.index(r) for r in range(len(A.reps)))
-    assert A.coset_reps == [A.all[j] for j in A.coset_rows]
+    # and that row is the least of its coset
+    for j in A.coset_rows:
+        assert A[j].key == min(A[i].key for i in range(len(A)) if rep_of[i] == rep_of[j])
 
 
 def test_inner_closed_under_composition():
     A = compute_aut(build_symmetric(4), "brute")
-    keys = {a.key for a in A.inner}
-    for a in A.inner[:6]:
-        for b in A.inner[:6]:
+    inner = helpers.inner_rows(A)
+    keys = {a.key for a in inner}
+    for a in inner[:6]:
+        for b in inner[:6]:
             assert Automorphism(A.parent, a.images[b.images]).key in keys
 
 
@@ -261,7 +264,7 @@ def test_every_aut_multiplicative_exhaustively():
     # spot re-verification on top of the construction-time check
     A = compute_aut(build_psl2(5), "psl2_structured")
     T = A.parent.require_table()
-    for a in A.all[:20]:
+    for a in list(A)[:20]:
         assert np.array_equal(a.images[T], T[np.ix_(a.images, a.images)])
 
 
@@ -273,8 +276,8 @@ def test_every_aut_multiplicative_exhaustively():
 def _assert_same_autgroup(B, A):
     assert [a.key for a in B.all] == [a.key for a in A.all]
     assert [a.provenance for a in B.all] == [a.provenance for a in A.all]
-    assert [a.key for a in B.coset_reps] == [a.key for a in A.coset_reps]
-    assert [a.key for a in B.inner] == [a.key for a in A.inner]
+    assert [B[j].key for j in B.coset_rows] == [A[j].key for j in A.coset_rows]
+    assert [a.key for a in helpers.inner_rows(B)] == [a.key for a in helpers.inner_rows(A)]
 
 
 @pytest.mark.parametrize("text", ["A5", "PSL2(7)", "SL2(5)", "C3 x C3"])
@@ -298,7 +301,7 @@ def test_rows_are_sorted_and_formed_from_their_parts():
     assert keys == sorted(keys) and len(set(keys)) == len(A)
     G = A.parent
     # the representatives are one read-only image matrix, a row per coset
-    assert A.reps.shape == (len(A.coset_reps), G.n) and not A.reps.flags.writeable
+    assert A.reps.shape == (len(A.coset_rows), G.n) and not A.reps.flags.writeable
     for j in (0, 1, 700, len(A) - 1):
         r, c = A.parts(j)
         row = A.all[j]
@@ -325,7 +328,7 @@ def test_row_images_are_formed_on_each_read():
 def test_autgroup_consistency_checks():
     G = build_alternating(5)
     A = compute_aut(G)
-    ident, outer = A.coset_reps
+    ident, outer = (A[j] for j in A.coset_rows)
     inner_rep = A.parts(0)[0]
     same_coset = next(A.all[j] for j in range(1, len(A)) if A.parts(j)[0] == inner_rep)
     with pytest.raises(AutomorphismError, match="disjoint"):
@@ -338,3 +341,51 @@ def test_autgroup_consistency_checks():
         AutGroup(G, list(A.all)[:-1])
     with pytest.raises(AutomorphismError, match="duplicate"):
         AutGroup(G, list(A.all) + [A.all[3]])
+
+
+# ---------------------------------------------------------------------------
+# Aut(G) held once: rows formed on read
+# ---------------------------------------------------------------------------
+
+
+def test_autgroup_holds_no_object_per_row():
+    A = compute_aut(helpers.built("D256"))
+    assert len(A) == 32768 and len(A.reps) == 128
+    for key, value in vars(A).items():
+        if isinstance(value, (list, tuple, dict)):
+            assert len(value) <= len(A.reps), key
+    assert not hasattr(A, "inner") and not hasattr(A, "coset_reps")
+    assert A.all is A
+
+
+# (position, provenance) of sampled rows, as the eager row list named them
+SAMPLED_ROWS = {
+    "A6": [(0, "inner(0)"), (1, "raw"), (2, "raw"), (23, "raw"), (59, "raw"), (108, "raw"),
+           (388, "raw"), (443, "raw"), (736, "raw"), (917, "raw"), (1224, "raw"),
+           (1439, "raw")],
+    "PSL2(8)": [(0, "inner(0)"), (1, "field(1)"), (2, "field(2)"), (24, "composed"),
+                (61, "composed"), (113, "composed"), (407, "composed"), (465, "composed"),
+                (772, "inner(219)"), (963, "inner(361)"), (1286, "composed"),
+                (1511, "inner(88)")],
+}
+
+
+@pytest.mark.parametrize("text", SAMPLED_ROWS)
+def test_rows_formed_on_read_keep_images_and_names(text):
+    A = compute_aut(helpers.built(text))
+    G = A.parent
+    for j, provenance in SAMPLED_ROWS[text]:
+        r, c = A.parts(j)
+        expected = A.reps[r].take(conjugations(G, [c], np.arange(G.n))[0])
+        assert np.array_equal(A[j].images, expected)
+        assert A[j].provenance == provenance
+        assert A[j] is not A[j]  # a fresh handle on each read
+
+
+def test_autgroup_iterates_its_rows_in_order():
+    A = compute_aut(build_psl2(7))
+    rows = list(A)
+    assert len(rows) == len(A) == 336
+    assert [a.key for a in rows] == [A[j].key for j in range(len(A))]
+    with pytest.raises(IndexError):
+        A[len(A)]

@@ -61,4 +61,4 @@ def test_autgroup_rebuilt_from_brute_rows():
     assert len(B) == len(A) == 1440
     assert [a.key for a in B.all] == [a.key for a in A.all]
     assert [a.provenance for a in B.all] == [a.provenance for a in A.all]
-    assert [a.key for a in B.coset_reps] == [a.key for a in A.coset_reps]
+    assert [B[j].key for j in B.coset_rows] == [A[j].key for j in A.coset_rows]

@@ -35,6 +35,7 @@ from autmap.groups import ORDER_CAP
 from autmap.parser import elaborate_text
 from autmap.reports import build_report, result_digest
 from autmap.structure import is_solvable
+from helpers import inner_rows
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -438,6 +439,18 @@ def test_main_usage_errors_exit_as_input_errors():
     assert exc.value.code == 0
 
 
+def test_common_flags_go_after_the_witness_kind(capsys):
+    # given before the kind, a common flag would be overwritten by the kind's
+    # own default, so it is refused as a usage error
+    assert main(["witness", "--cap", "100", "psl2", "--q", "16"]) == EXIT_INPUT_ERROR
+    argv = ["witness", "--seed", "5", "wreath", "--base", "A5", "--n", "2"]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert main(["witness", "psl2", "--cap", "100", "--q", "16"]) == EXIT_CAP_EXCEEDED
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--help"])
+    assert exc.value.code == 0
+
+
 def test_main_unknown_catalog_group_message_is_unquoted(capsys):
     assert main(["verify-theorem", "--scope", "X"]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err.startswith("input error: unknown catalog group 'X'")
@@ -520,11 +533,16 @@ def test_main_witness_subcommands(tmp_path):
 
 
 def test_inner_size_law_across_catalog():
-    # |Inn(G)| = |G| / |Z(G)| for every catalog entry
+    # |Inn(G)| = |G| / |Z(G)| for every catalog entry, and verify-theorem
+    # reports it as inner_size
     from autmap.catalog import catalog_aut
     from autmap.groups import center
 
     for entry in CATALOG:
         G = catalog_group(entry.name)
         aut = catalog_aut(entry.name)
-        assert len(aut.inner) == G.n // len(center(G)), entry.name
+        assert len(inner_rows(aut)) == G.n // len(center(G)), entry.name
+    results, _, _ = cmd_verify_theorem(None)
+    for g in results["groups"]:
+        G = catalog_group(g["group"])
+        assert g["inner_size"] == G.n // len(center(G)), g["group"]

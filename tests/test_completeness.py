@@ -32,7 +32,7 @@ from autmap.groups import (
     build_symmetric,
     conjugacy_classes,
 )
-from helpers import built, first_inverted_reference
+from helpers import built, first_inverted_reference, inner_rows
 
 
 def _power_map_aut(G, m):
@@ -247,10 +247,10 @@ def test_1_completeness_is_constant_on_inn_cosets():
     # automorphism cannot change the k = 1 verdict
     A5 = build_alternating(5)
     A = compute_aut(A5, "brute")
-    for rep in A.coset_reps:
+    for j in A.coset_rows:
         verdicts = {
-            is_k_complete(Automorphism(A5, rep.images[i.images]), 1).verdict
-            for i in A.inner[:10]
+            is_k_complete(Automorphism(A5, A[j].images[i.images]), 1).verdict
+            for i in inner_rows(A)[:10]
         }
         assert len(verdicts) == 1
 
