@@ -35,6 +35,8 @@ Conventions shared by the whole package:
     projective representative, gives its index without canonicalization.
     Row x of the table is thus two whole rows of rowprod, combined and
     looked up, and a pair product reads the same two entries and lookup;
+  * a matrix group's codes, lookup and rowprod are built a slice at a time,
+    so beyond what it keeps it holds at most q^3 codes or O(q*n) entries;
   * every group carries a generating set (``GroupTable.generators``), on which
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
@@ -445,29 +447,32 @@ def _matrix_codes(kind: str, F: FieldParams) -> tuple[np.ndarray, ...]:
     moves that entry off 1, so each class has exactly one.  PSL2 keeps those
     of square determinant."""
     q = F.q
-    MUL, ADD, NEG = (t.astype(np.int64) for t in (F.mul_table, F.add_table, F.neg_table))
-    codes = np.arange(q**4, dtype=np.int64)
-    a, b, c, d = codes // q**3, codes // q**2 % q, codes // q % q, codes % q
-    det = ADD[MUL[a, d], NEG[MUL[b, c]]]
-    if kind == "SL2":
-        keep = det == 1
-    else:
-        lead = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-        keep = (det != 0) & (lead == 1)
-        if kind == "PSL2":
-            keep &= F.square_mask[det]
+    MUL, ADD, NEG = F.mul_table, F.add_table, F.neg_table
+    # one first entry a at a time: its q^3 codes are a*q^3 + rest, in order
+    rest = np.arange(q**3, dtype=np.int32)
+    b, c, d = rest // q**2, rest // q % q, rest % q
+    chunks = []
+    for a in range(q):
+        det = ADD[MUL[a, d], NEG[MUL[b, c]]]
+        if kind == "SL2":
+            keep = det == 1
+        else:
+            lead = a if a else np.where(b != 0, b, np.where(c != 0, c, d))
+            keep = (det != 0) & (lead == 1)
+            if kind == "PSL2":
+                keep &= F.square_mask[det]
+        chunks.append(rest[keep] + np.int64(a * q**3))
     id_code = _pack(1, 0, 0, 1, q)
-    kept = codes[keep]
+    kept = np.concatenate(chunks)
     kept = np.concatenate(([id_code], kept[kept != id_code]))
-    return a[kept], b[kept], c[kept], d[kept]
+    return kept // q**3, kept // q**2 % q, kept // q % q, kept % q
 
 
 def _matrix_group(kind: str, q: int) -> GroupTable:
     name = f"{kind}({q})"
     order = check_order_cap(name, predicted_atomic_order(kind, q))
     F = field_for(q)
-    MUL = F.mul_table.astype(np.int64)
-    NEG = F.neg_table.astype(np.int64)
+    MUL, NEG = (t.astype(np.int64) for t in (F.mul_table, F.neg_table))
     A, B, C, D = _matrix_codes(kind, F)
     if len(A) != order:
         raise GroupBuildError(f"{name}: enumerated {len(A)} elements, expected {order}")
@@ -476,17 +481,22 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # element to that element's index (-1 elsewhere): for the projective
     # kinds every nonzero scalar multiple of the representative, so a
     # product needs no canonicalization; for SL2 the matrix itself.
-    scalars = np.arange(1, q) if kind != "SL2" else np.ones(1, dtype=np.int64)
     lookup = np.full(q**4, -1, dtype=TABLE_DTYPE)
-    lookup[_pack(*(MUL[x[:, None], scalars] for x in (A, B, C, D)), q)] = np.arange(order)[:, None]
+    for s in range(1, q) if kind != "SL2" else (1,):
+        lookup[_pack(*(MUL[x, s] for x in (A, B, C, D)), q)] = np.arange(order)
 
-    # rowprod[u*q + v, y] packs the row vector (u, v) times matrix y; int16
-    # holds it, since every entry is below q^2
+    # rowprod[u*q + v, y] packs the row vector (u, v) times matrix y, below
+    # q^2 so int16, a (q, n) slice per u: (u*a + v*c)*q, then + (u*b + v*d)
     M16, A16 = F.mul_table, F.add_table
-    u = np.arange(q)[:, None]
-    rowprod = (
-        A16[M16[u, A][:, None], M16[u, C][None]] * q + A16[M16[u, B][:, None], M16[u, D][None]]
-    ).reshape(q * q, order)
+    rowprod = np.empty((q, q, order), dtype=TABLE_DTYPE)
+    v_times = M16[:, C]  # v*c for every v and every element
+    for u, out in enumerate(rowprod):
+        np.multiply(A16[M16[u, A], v_times], q, out=out)
+    v_times = M16[:, D]
+    for u, out in enumerate(rowprod):
+        out += A16[M16[u, B], v_times]
+    del v_times  # not held through the self-check
+    rowprod = rowprod.reshape(q * q, order)
     top, bottom = A * q + B, C * q + D
 
     def product_index(top_prods, bottom_prods):
@@ -507,12 +517,11 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
     # (exactly, in SL2)
     inv = lookup[_pack(D, NEG[B], NEG[C], A, q)]
 
-    names = [F.label(c) for c in range(q)]
-    entries = zip(A.tolist(), B.tolist(), C.tolist(), D.tolist())
+    names = np.array([F.label(c) for c in range(q)], dtype=object)
     return GroupTable(
         kind=kind,
         name=name,
-        labels=["[{} {}; {} {}]".format(*(names[e] for e in m)) for m in entries],
+        labels=list(map("[{} {}; {} {}]".format, names[A], names[B], names[C], names[D])),
         mul_many_fn=mul_many,
         inv=inv,
         meta={"q": q, "field": F, "codes": (A, B, C, D), "code_lookup": lookup},

@@ -14,7 +14,7 @@ capped at |G| <= 1000.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +27,12 @@ LATTICE_CAP = 1000
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its member indices, strictly increasing."""
+    """A subgroup given by its member indices, strictly increasing, and a
+    generating set: passed on by the closures below, or found by the check."""
 
     parent: GroupTable
     members: tuple[int, ...]
+    generators: tuple[int, ...] | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         mem = np.array(self.members, dtype=np.int64)
@@ -40,10 +42,13 @@ class Subgroup:
             raise GroupBuildError(
                 f"subgroup members must be strictly increasing indices below {self.parent.n}"
             )
-        # the span of the members equals them exactly when they are closed
-        # (inverses included: a finite closed set is a subgroup)
-        if not np.array_equal(span_mask(self.parent, mem)[0], self.member_mask()):
-            raise GroupBuildError("member set is not closed under multiplication")
+        if self.generators is None:
+            # the span of the members equals them exactly when they are closed
+            # (inverses included: a finite closed set is a subgroup)
+            span, gens = span_mask(self.parent, mem)
+            if not np.array_equal(span, self.member_mask()):
+                raise GroupBuildError("member set is not closed under multiplication")
+            object.__setattr__(self, "generators", tuple(gens))
 
     def __len__(self):
         return len(self.members)
@@ -72,7 +77,8 @@ class Subgroup:
 
 def subgroup_closure(G: GroupTable, gens) -> Subgroup:
     """The subgroup generated by ``gens``."""
-    return Subgroup(G, tuple(int(x) for x in np.nonzero(span_mask(G, gens)[0])[0]))
+    span, taken = span_mask(G, gens)
+    return Subgroup(G, tuple(np.flatnonzero(span).tolist()), generators=tuple(taken))
 
 
 def trivial_subgroup(G: GroupTable) -> Subgroup:
@@ -80,14 +86,14 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
 
 
 def full_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, tuple(range(G.n)))
+    return Subgroup(G, tuple(range(G.n)), generators=G.generators)
 
 
 def derived_subgroup(G: GroupTable, H: Subgroup) -> Subgroup:
     """Subgroup generated by the commutators of H: the normal closure in H
     of the commutators of a generating set of H (modulo it, the generators
     commute, so H modulo it is abelian)."""
-    gens = np.array(span_mask(G, H.members)[1], dtype=np.int64)
+    gens = np.array(H.generators, dtype=np.int64)
     x, y = gens[:, None], gens[None, :]
     comm = G.mul_many(G.mul_many(G.inv[x], G.inv[y]), G.mul_many(x, y)).reshape(-1)
     return subgroup_closure(G, np.flatnonzero(np.bincount(conjugations(G, H.members, comm).ravel())))

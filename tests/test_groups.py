@@ -249,7 +249,18 @@ def test_on_demand_matrix_products_match_reference(build, q):
 
 @pytest.mark.parametrize(
     "build, q",
-    [(build_psl2, 7), (build_psl2, 8), (build_psl2, 9), (build_pgl2, 5), (build_sl2, 5)],
+    [
+        (build_psl2, 7),
+        (build_psl2, 8),
+        (build_psl2, 9),
+        (build_pgl2, 5),
+        (build_sl2, 5),
+        (build_psl2, 16),
+        (build_psl2, 17),
+        (build_psl2, 19),
+        (build_sl2, 19),
+        (build_pgl2, 19),
+    ],
 )
 def test_code_lookup_is_scalar_invariant(build, q):
     from autmap.groups import _pack
@@ -528,8 +539,16 @@ MATRIX_CODE_HASHES = {
     "PGL2(7)": "a2be3ec9041e8390",
     "PGL2(8)": "322e73d240c8b5e4",
     "PGL2(9)": "916ce13b6492e762",
+    "PSL2(11)": "1b3e33f464b26127",
+    "PSL2(13)": "64f3addf9ad3599a",
+    "PSL2(16)": "78fcf1a2de9dc7af",
+    "PSL2(17)": "1d142871745c25d4",
+    "PSL2(19)": "5e484b20991e636d",
+    "PSL2(23)": "5f7619348c87f541",
     "PSL2(25)": "fb618afe8ddb6e68",
     "PSL2(27)": "ba464183870105b1",
+    "SL2(19)": "2398302ea4524255",
+    "PGL2(19)": "40660ea68afeb3ea",
 }
 
 
@@ -675,7 +694,8 @@ def test_on_demand_product_over_an_int16_factor():
 
 
 def test_psl2_16_build_peak_memory():
-    # the int16 table is 31.8 MiB; with int32 tables the build peaked at 67.5 MiB
+    # the build no longer fills the 31.8 MiB int16 table (it is built on first
+    # read) and peaks near 3.4 MiB; the bound dates from when it filled it
     import tracemalloc
 
     tracemalloc.start()
@@ -685,6 +705,28 @@ def test_psl2_16_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, q", [("PSL2", 16), ("PSL2", 17), ("PSL2", 19), ("PSL2", 27), ("SL2", 19), ("PGL2", 19)]
+)
+def test_matrix_group_construction_is_bounded(kind, q):
+    # the enumeration, the code lookup and rowprod are each built a slice at
+    # a time, so the peak exceeds what the group keeps by well under the
+    # 1.8-17.4 MiB of whole-array construction
+    import tracemalloc
+
+    from autmap.groups import _matrix_group
+
+    field_for(q)
+    tracemalloc.start()
+    try:
+        G = _matrix_group(kind, q)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.n == len(G.labels) and not G.is_materialized
+    assert peak - kept < 1.5 * 2**20
 
 
 def test_table_is_built_on_first_read():

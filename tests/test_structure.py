@@ -9,6 +9,7 @@ from autmap.groups import (
     build_cyclic,
     build_symmetric,
     center,
+    span_mask,
 )
 from autmap.parser import elaborate_text
 from autmap.structure import (
@@ -24,7 +25,7 @@ from autmap.structure import (
     transport_aut,
     trivial_subgroup,
 )
-from helpers import built
+from helpers import built, closure
 
 # ---------------------------------------------------------------------------
 # derived series and solvability
@@ -47,6 +48,33 @@ def test_derived_series_without_a_table():
     G = built("PSL2(23)")
     assert not G.is_materialized
     assert [len(s) for s in derived_series(G)] == [6072, 6072]
+
+
+@pytest.mark.parametrize("text", ["S4", "D8", "Q8", "A5 x C2", "SL2(5)"])
+def test_derived_series_closes_each_term_once(text, monkeypatch):
+    import autmap.structure as structure
+
+    G = built(text)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return span_mask(*args)
+
+    monkeypatch.setattr(structure, "span_mask", counted)
+    series = derived_series(G)
+    assert len(calls) == len(series) - 1
+    # each term is the subgroup generated by every commutator of the last
+    for H, nxt in zip(series, series[1:]):
+        x, y = np.array(H.members)[:, None], np.array(H.members)[None, :]
+        comm = G.mul_many(G.mul_many(G.inv[x], G.inv[y]), G.mul_many(x, y))
+        assert nxt.members == tuple(sorted(closure(G, np.unique(comm).tolist())))
+
+
+def test_subgroup_generators_span_its_members():
+    G = build_symmetric(4)
+    for H in (subgroup_closure(G, [1, 6]), Subgroup(G, subgroup_closure(G, [3]).members)):
+        assert np.flatnonzero(span_mask(G, H.generators)[0]).tolist() == list(H.members)
 
 
 def test_solvability():
