@@ -32,13 +32,12 @@ from .errors import AutomorphismError, CapExceededError, StrategyError
 from .groups import (
     MATERIALIZE_CAP,
     GroupTable,
-    _matrix_mul_codes,
-    _pack,
     center,
     closure_tree,
     conjugations,
     element_orders,
     is_homomorphism,
+    psl2_map,
     span_mask,
 )
 
@@ -392,30 +391,6 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structured Aut(PSL2(q))
 # ---------------------------------------------------------------------------
-
-
-def _psl2_index_map(G: GroupTable, codes) -> np.ndarray:
-    q = G.meta["q"]
-    lookup = G.meta["code_lookup"]
-    idx = lookup[_pack(*codes, q)]
-    if np.any(idx < 0):
-        raise AutomorphismError("projective image outside the enumerated group")
-    return idx
-
-
-def psl2_map(G: GroupTable, nmat: tuple[int, int, int, int], i: int) -> np.ndarray:
-    """Index map M -> N frob^i(M) N^-1 of PSL2(q), for N in PGL2(q) given by
-    entry codes and frob^i the entrywise p^i-th power: one code lookup."""
-    F = G.meta["field"]
-    if not 0 <= i < F.f:
-        raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
-    fr = np.array([F.pow(x, F.p**i) for x in range(F.q)], dtype=np.int64)
-    matmul = _matrix_mul_codes(F)
-    NEG = F.neg_table.astype(np.int64)
-    na, nb, nc, nd = (np.int64(x) for x in nmat)
-    ninv = (nd, NEG[nb], NEG[nc], na)  # adjugate: projective inverse
-    left = matmul((na, nb, nc, nd), tuple(fr[x] for x in G.meta["codes"]))
-    return _psl2_index_map(G, matmul(left, ninv))
 
 
 def frobenius_field_aut(G: GroupTable, i: int) -> Automorphism:

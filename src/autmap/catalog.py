@@ -2,8 +2,9 @@
 
 Solvable entries are controls; the nonsolvable entries are the exhaustive
 verification targets.  The extended entries, larger PSL2(q), are named only
-through an explicit scope.  Elaborated tables and automorphism groups are
-cached per entry name so repeated commands and tests share the work.
+through an explicit scope.  The last entry's group and automorphism group
+are cached, so reading an entry's group and then its Aut(G) builds the group
+once, and a scan over many entries holds one entry's tables at a time.
 """
 
 from __future__ import annotations
@@ -69,11 +70,11 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def catalog_group(name: str) -> GroupTable:
     return elaborate_text(get_entry(name).expr)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def catalog_aut(name: str) -> AutGroup:
     return compute_aut(catalog_group(name))

@@ -37,6 +37,8 @@ Conventions shared by the whole package:
     looked up, and a pair product reads the same two entries and lookup;
   * a matrix group's codes, lookup and rowprod are built a slice at a time,
     so beyond what it keeps it holds at most q^3 codes or O(q*n) entries;
+  * outside its builder, a packed matrix code is read only through
+    ``matrix_index``;
   * every group carries a generating set (``GroupTable.generators``), on which
     homomorphisms (automorphisms, quotient projections) are validated
     exactly.
@@ -59,7 +61,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceededError, GroupBuildError
+from .errors import AutomorphismError, CapExceededError, GroupBuildError
 from .fields import FieldParams, field_for, prime_power
 
 ORDER_CAP = 10_000
@@ -527,6 +529,30 @@ def _matrix_group(kind: str, q: int) -> GroupTable:
         meta={"q": q, "field": F, "codes": (A, B, C, D), "code_lookup": lookup},
         row_block_fn=row_block,
     )
+
+
+def matrix_index(G: GroupTable, codes) -> np.ndarray:
+    """Index of the element of matrix group G that each matrix stands for,
+    the matrices given by their entry codes (a, b, c, d), scalars or arrays."""
+    idx = G.meta["code_lookup"][_pack(*codes, G.meta["q"])]
+    if np.any(idx < 0):
+        raise AutomorphismError("matrix outside the enumerated group")
+    return idx
+
+
+def psl2_map(G: GroupTable, nmat: tuple[int, int, int, int], i: int) -> np.ndarray:
+    """Index map M -> N frob^i(M) N^-1 of PSL2(q), for N in PGL2(q) given by
+    entry codes and frob^i the entrywise p^i-th power: one code lookup."""
+    F = G.meta["field"]
+    if not 0 <= i < F.f:
+        raise ValueError(f"field power index {i} out of range 0..{F.f - 1}")
+    fr = np.array([F.pow(x, F.p**i) for x in range(F.q)], dtype=np.int64)
+    matmul = _matrix_mul_codes(F)
+    NEG = F.neg_table.astype(np.int64)
+    na, nb, nc, nd = (np.int64(x) for x in nmat)
+    ninv = (nd, NEG[nb], NEG[nc], na)  # adjugate: projective inverse
+    left = matmul((na, nb, nc, nd), tuple(fr[x] for x in G.meta["codes"]))
+    return matrix_index(G, matmul(left, ninv))
 
 
 def build_sl2(q: int) -> GroupTable:

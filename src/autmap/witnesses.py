@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import Automorphism, _psl2_index_map, frobenius_field_aut, psl2_map
+from .automorphisms import Automorphism, frobenius_field_aut
 from .completeness import first_inverted
 from .errors import GroupBuildError, TheoremViolationError
-from .groups import GroupTable, _matrix_mul_codes, build_psl2, conjugacy_classes, conjugations
+from .groups import GroupTable, build_psl2, conjugacy_classes, conjugations, matrix_index, psl2_map
 from .structure import subgroup_closure
 
 WITNESS_MAX_COPIES = 6
@@ -199,21 +199,6 @@ class Psl2Witness:
     verified: bool
 
 
-def _pair_power(F, start_mat, start_j, e):
-    """e-th power of (matrix, frobenius index) under
-    (N1, j1)(N2, j2) = (N1 * frob^j1(N2), j1 + j2), by iterated application."""
-    matmul = _matrix_mul_codes(F)
-
-    def mul_pair(x, y):
-        m = matmul(x[0], tuple(F.pow(v, F.p ** x[1]) for v in y[0]))
-        return tuple(int(v) for v in m), (x[1] + y[1]) % F.f
-
-    acc = ((1, 0, 0, 1), 0)
-    for _ in range(e):
-        acc = mul_pair(acc, (start_mat, start_j))
-    return acc
-
-
 def psl2_variant(q: int) -> str:
     """The witness construction for PSL2(q), q a prime power: by the
     characteristic 2, else by q mod 4."""
@@ -236,7 +221,7 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
 
     exponent = None
     if variant == "char2":
-        elem = int(_psl2_index_map(G, (1, 1, 0, 1)))
+        elem = int(matrix_index(G, (1, 1, 0, 1)))
         rep = frobenius_field_aut(G, i)
     elif variant == "q1mod4":
         xi = F.generator()
@@ -244,16 +229,19 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
             raise TheoremViolationError(
                 "generator of F_q^* is a square; diag(xi,1) would lie in PSL2"
             )
-        dmat = (xi, 0, 0, 1)
-        rep = Automorphism(G, psl2_map(G, dmat, i), provenance="composed")
+        rep = Automorphism(G, psl2_map(G, (xi, 0, 0, 1), i), provenance="composed")
         g = math.gcd(F.f, i)
         exponent = (F.f // g) * (F.p**g - 1) // 2
-        mat, j = _pair_power(F, dmat, i, exponent)
-        if j != 0:
-            raise TheoremViolationError("power of the coset representative kept a field part")
-        elem = int(_psl2_index_map(G, mat))
-        if elem != int(_psl2_index_map(G, (minus1, 0, 0, 1))):
-            raise TheoremViolationError("computed power is not the class of diag(-1,1)")
+        elem = int(matrix_index(G, (minus1, 0, 0, 1)))
+        # PGammaL2(q) acts faithfully on PSL2(q), so the power of (diag(xi, 1),
+        # frob^i) is the class of diag(-1, 1) iff rep's power is conjugation by it
+        power = everyone = np.arange(G.n)
+        for _ in range(exponent):
+            power = rep.images[power]
+        if not np.array_equal(power, conjugations(G, [elem], everyone)[0]):
+            raise TheoremViolationError(
+                "the representative's power is not conjugation by the class of diag(-1,1)"
+            )
         # cross-check against direct exponentiation of xi in the field
         if F.pow(xi, (q - 1) // 2) != minus1:
             raise TheoremViolationError("xi^((q-1)/2) != -1 in the field")
@@ -263,7 +251,7 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
                 "[0 1; 1 0] lies in PSL2 although q = 3 mod 4; -1 should be a non-square"
             )
         rep = Automorphism(G, psl2_map(G, (0, 1, 1, 0), i), provenance="composed")
-        elem = int(_psl2_index_map(G, (0, 1, minus1, 0)))
+        elem = int(matrix_index(G, (0, 1, minus1, 0)))
 
     if elem == 0 or G.mul(elem, elem) != 0:
         raise TheoremViolationError("witness element does not have order 2")

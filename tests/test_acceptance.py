@@ -133,10 +133,9 @@ def _sigma_from_type(parts):
 def test_criterion_06_wreath_witnesses_100_trials():
     with criterion(6, "100 seeded wreath automorphisms all yield verified witnesses"):
         t0 = time.time()
-        bases = {"A5": catalog_group("A5"), "PSL2(7)": catalog_group("PSL2(7)")}
-        auts = {name: catalog_aut(name) for name in bases}
+        auts = {name: catalog_aut(name) for name in ("A5", "PSL2(7)")}
         cases = []
-        for name in bases:
+        for name in auts:
             for n in range(1, 5):
                 for parts in _partitions(n):
                     cases.append((name, n, _sigma_from_type(parts)))
@@ -144,8 +143,8 @@ def test_criterion_06_wreath_witnesses_100_trials():
         trial = 0
         while trial < 100:
             name, n, sigma = cases[trial % len(cases)]
-            S = bases[name]
             aut = auts[name]
+            S = aut.parent
             alphas = tuple(
                 aut.all[int(j)] for j in rng.integers(0, len(aut.all), size=n)
             )

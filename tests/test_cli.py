@@ -56,6 +56,29 @@ def test_catalog_lookup():
     assert "PSL2(8)" in catalog_names()
 
 
+def test_verify_theorem_releases_each_group(monkeypatch):
+    # a scan over several entries keeps only the last one's group and Aut(G)
+    import gc
+    import weakref
+
+    from autmap import catalog
+
+    built = {}
+
+    def recording(text, size_cap=None):
+        G = elaborate_text(text, size_cap)
+        built[G.name] = weakref.ref(G)
+        return G
+
+    catalog.catalog_group.cache_clear()
+    catalog.catalog_aut.cache_clear()
+    monkeypatch.setattr(catalog, "elaborate_text", recording)
+    cmd_verify_theorem(["A5", "S5", "A6"])
+    gc.collect()
+    assert set(built) == {"A5", "S5", "A6"}
+    assert built["A5"]() is None and built["S5"]() is None
+
+
 def test_extended_psl2_entries_only_by_scope():
     names = [e.name for e in EXTENDED_ENTRIES]
     assert names == [f"PSL2({q})" for q in (11, 13, 16, 17, 19, 23, 25, 27)]
@@ -284,6 +307,42 @@ def test_pinned_spectrum_digests(expr, k_min, k_max, iterate, all_autos, digest)
     results, table, code = cmd_spectrum(expr, k_min, k_max, iterate, all_autos, ORDER_CAP)
     assert code == EXIT_OK
     assert result_digest(results, table) == digest
+
+
+# every witness psl2 report for 4 <= q <= 27, each i < f; q = 9 and 25 at
+# i >= 1 are the only ones whose exponent takes gcd(f, i) < f
+PSL2_WITNESS_DIGESTS = {
+    (4, 0): "0a9664a72568febd450f2a7c8abb828bd9586b394ad7ab6f4f2280777704ebc6",
+    (4, 1): "135dc6b2a1c75f29b0a992347d7dc37a0ff583270cfb1de6d1425336282e379a",
+    (5, 0): "2fd023eebf4b2a63f9035dfdd1e58953fa4b25c457bd58918f1e88638021eea9",
+    (7, 0): "a51d54473e516e01b30d04f1ef9231d72598630b1602c089cddcb8b55818679d",
+    (8, 0): "c63f2869b2aced2b98b32147809eb02ec78bdce42ed7dd41c4d5c0c5bb0eb1f0",
+    (8, 1): "6215fd37e0324cba28478af63475d749c1de1ae107087760f290a86caedf8a5e",
+    (8, 2): "e463da3f30e23a23efdc7fd35527450f4f30cc68ab52daa2b763d6549b7718fb",
+    (9, 0): "375b42ad6847cc92df0f9411b82db0e397a9f699a77f3d0eeac24969e46f7805",
+    (9, 1): "dbdbcf445065b45b54404b409802689ecf9c10d5dfe70f7c4cf0a4f765ff0592",
+    (11, 0): "b9a8e004a3734e9bfae7970c7fe211d24f529ebf5cfdb6379704d629dd154615",
+    (13, 0): "326d4b66f8f49431259b6a53bf7e1a38a7263f416efd788b844e992cce827bc0",
+    (16, 0): "e2e2642e4d37e372287cb8f09a05c0c2af136b9dbd1b53638ee2756d2121509c",
+    (16, 1): "52660732a3073f314516b45d25b3358ea1d2f84595daaeee14efa667ff342f0d",
+    (16, 2): "4bc2c7f02887fe7eada268c7a06ad66ec5aed639bbae9606efd10eb37423e796",
+    (16, 3): "7646e89d99d6e67d546a198941ee37b2d5218f60762bfa82c414a79ea780bffb",
+    (17, 0): "0fe33c0b480262be615767e6effc807c983dcd06282898887c5ba586fa94df32",
+    (19, 0): "a484a43e492a0233d12945a7ed0354ba4e198257861fc68e0609cdb3743894cd",
+    (23, 0): "df3de93a652b5a1038907a8fc54ab56c2abce7b033350ccd60bef0ab3bd154ab",
+    (25, 0): "889833eff4888d1bcf7921810ad977201a4f78ddf29b995afe116bb837e6b705",
+    (25, 1): "0045a367875e7ff37fa1891e0fe970ebb091a903a271e53eafe6122ed29937a3",
+    (27, 0): "88927579c955753f2c4f74fc02fd7991b4e54927d6a990d9f57584abe038c418",
+    (27, 1): "9ad2a52f97b54a4d8bcb1035021b7b6bc8431f071559b553a20522847a40c703",
+    (27, 2): "445c5bef48a0a036eb2e3efc1b35e742851f5a71bbdf7256b4fffaa64e33c3fc",
+}
+
+
+@pytest.mark.parametrize("q, i", sorted(PSL2_WITNESS_DIGESTS), ids=str)
+def test_pinned_psl2_witness_digests(q, i):
+    results, table, code = cmd_witness_psl2(q, i)
+    assert code == EXIT_OK
+    assert result_digest(results, table) == PSL2_WITNESS_DIGESTS[q, i]
 
 
 # even cycles, and odd cycles (length 1 included) with the twist folded into

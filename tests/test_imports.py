@@ -1,6 +1,7 @@
 """Every module-level import in ``src/autmap`` is used by its module, every
-module-level private name is referenced somewhere in the package, importing
-the package starts no thread, and no command imports numpy.ma.
+module-level private name is referenced somewhere in the package, no module
+imports another's private name, importing the package starts no thread, and
+no command imports numpy.ma.
 
 No linter is part of the toolchain, so this parses each module with ``ast``.
 ``__init__.py`` is skipped by the import check: its imports are the package's
@@ -116,6 +117,38 @@ def test_write_only_attributes_are_found(tmp_path):
 def test_every_private_attribute_is_read():
     # an attribute that is stored and never read is dead state
     assert write_only_attributes(SRC) == []
+
+
+def private_imports(src: Path) -> list[str]:
+    """Underscore names a module of ``src`` imports from another module of
+    its package."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == src.name
+            ):
+                found += [f"{path.stem}:{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_private_imports_are_found(tmp_path):
+    pkg = tmp_path / "autmap"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "from .a import _hidden, shown\n"
+        "from autmap.b import _other\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from .c import _late\n"
+    )
+    assert private_imports(pkg) == ["m:_hidden", "m:_other", "m:_late"]
+
+
+def test_no_module_imports_a_private_name():
+    # a private name is its module's own: another module reads only public ones
+    assert private_imports(SRC) == []
 
 
 _THREADS_SCRIPT = """

@@ -231,6 +231,18 @@ def test_psl2_witness_runs_without_a_table():
         assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx))
 
 
+@pytest.mark.parametrize("q", [5, 9, 13, 17])
+def test_psl2_cross_check_reads_the_representative(q, monkeypatch):
+    # the identity fixes, so inverts, every involution: only the check that
+    # the representative's power is conjugation by diag(-1, 1) rejects it
+    import autmap.witnesses
+    from autmap.errors import TheoremViolationError
+
+    monkeypatch.setattr(autmap.witnesses, "psl2_map", lambda G, nmat, i: np.arange(G.n))
+    with pytest.raises(TheoremViolationError, match="diag"):
+        psl2_witness(q, 0, "q1mod4")
+
+
 def test_psl2_witness_variant_validation():
     with pytest.raises(ValueError):
         psl2_witness(5, 0, "q3mod4")
