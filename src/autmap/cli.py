@@ -11,6 +11,7 @@ bug, never new mathematics); 3 input error; 4 cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -353,6 +354,16 @@ def cmd_mappings(expr: str, cap: int) -> tuple[dict, list[dict], int]:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -361,7 +372,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=ORDER_CAP, help="group order cap")
+    common.add_argument(
+        "--cap", type=_positive_int, default=ORDER_CAP,
+        help=f"group order cap, at least 1; it can only lower the built-in {ORDER_CAP}",
+    )
 
     ap = argparse.ArgumentParser(
         prog="autmap",
@@ -431,28 +445,29 @@ def main(argv: list[str] | None = None) -> int:
             raise
         return EXIT_INPUT_ERROR  # argparse's usage-error code 2 means a violation here
     t0 = time.time()
-    caps = {"order_cap": args.cap}
+    # every build also checks ORDER_CAP, so --cap can only lower it
+    cap = min(args.cap, ORDER_CAP)
     try:
         if args.command == "verify-theorem":
-            results, table, code = cmd_verify_theorem(args.scope, args.cap)
+            results, table, code = cmd_verify_theorem(args.scope, cap)
             scope = [g["group"] for g in results["groups"]]
         elif args.command == "spectrum":
             scope = [args.group]
             results, table, code = cmd_spectrum(
-                args.group, args.k_min, args.k_max, args.iterate, args.all_autos, args.cap
+                args.group, args.k_min, args.k_max, args.iterate, args.all_autos, cap
             )
         elif args.command == "witness":
             if args.witness_kind == "psl2":
                 scope = [f"PSL2({args.q})"]
-                results, table, code = cmd_witness_psl2(args.q, args.i, args.cap)
+                results, table, code = cmd_witness_psl2(args.q, args.i, cap)
             else:
                 scope = [args.base]
                 results, table, code = cmd_witness_wreath(
-                    args.base, args.n, args.seed, args.cap
+                    args.base, args.n, args.seed, cap
                 )
         elif args.command == "mappings":
             scope = [args.group]
-            results, table, code = cmd_mappings(args.group, args.cap)
+            results, table, code = cmd_mappings(args.group, cap)
         else:  # unreachable: argparse requires a command
             return EXIT_INPUT_ERROR
     except ParseError as e:
@@ -475,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         table,
         scope=scope,
         seed=args.seed,
-        caps=caps,
+        caps={"order_cap": cap},
         wall_time_s=time.time() - t0,
     )
     try:
@@ -490,5 +505,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> None:
+    """The process entry (``autmap``, ``python -m autmap.cli``): run main on
+    ``sys.argv`` and exit with its code.  main has written the report by
+    then; freezing the heap makes the interpreter's shutdown collections
+    skip every object the finished command holds instead of walking them."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

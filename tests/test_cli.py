@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -58,7 +60,6 @@ def test_catalog_lookup():
 
 def test_verify_theorem_releases_each_group(monkeypatch):
     # a scan over several entries keeps only the last one's group and Aut(G)
-    import gc
     import weakref
 
     from autmap import catalog
@@ -469,6 +470,79 @@ def test_full_stdout_is_an_input_error():
     assert run.stderr == "input error: cannot write report: [Errno 28] No space left on device\n"
 
 
+# the two ways a process enters the CLI: `python -m autmap.cli`, and the
+# `autmap` script, which calls the function named in pyproject.toml; an atexit
+# handler prints the freeze count the interpreter's shutdown starts from
+_ENTRY_SCRIPTS = {
+    "-m": "import runpy; runpy.run_module('autmap.cli', run_name='__main__')",
+    "script": "from autmap.cli import entry; sys.exit(entry())",
+}
+_ENTRY_PRELUDE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+)
+
+ENTRY_ARGV = [
+    ["mappings", "--group", "S4"],
+    ["verify-theorem", "--scope", "A5", "C3", "--cap", "10"],
+    ["witness", "psl2", "--q", "8", "--i", "1"],
+    ["mappings", "--group", "A5", "--cap", "10"],
+]
+
+
+def _run_entry(how: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", _ENTRY_PRELUDE + _ENTRY_SCRIPTS[how], *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [*ENTRY_ARGV, ["mappings"], ["spectrum", "--help"]])
+def test_main_changes_no_collector_state(argv, tmp_path, capsys):
+    before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+    try:
+        main([*argv, "--out", str(tmp_path / "report.json")])
+    except SystemExit:  # --help
+        pass
+    assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+
+
+@pytest.mark.parametrize("how", sorted(_ENTRY_SCRIPTS))
+@pytest.mark.parametrize("argv", ENTRY_ARGV, ids=" ".join)
+def test_entry_exits_as_main_does_and_freezes_the_heap(how, argv, tmp_path):
+    code = main([*argv, "--out", str(tmp_path / "main.json")])
+    run = _run_entry(how, [*argv, "--out", str(tmp_path / "entry.json")])
+    assert run.returncode == code, run.stderr
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith("freeze count ") and last != "freeze count 0", run.stderr
+    assert (tmp_path / "main.json").exists() == (tmp_path / "entry.json").exists()
+    if (tmp_path / "main.json").exists():
+        reports = [json.loads((tmp_path / f).read_text()) for f in ("main.json", "entry.json")]
+        for report in reports:
+            del report["manifest"]["wall_time_s"]
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("how", sorted(_ENTRY_SCRIPTS))
+def test_entry_help_exits_zero_and_usage_error_three(how):
+    assert _run_entry(how, ["--help"]).returncode == EXIT_OK
+    assert _run_entry(how, ["mappings"]).returncode == EXIT_INPUT_ERROR
+
+
+def test_autmap_script_is_the_module_entry():
+    # read as text: tomllib is 3.11+ and the package supports 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'autmap = "autmap.cli:entry"'
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert ast.unparse(block.body) == "entry()"
+
+
 @pytest.mark.parametrize(
     "group",
     ["(" * 3000 + "C2" + ")" * 3000, " x ".join(["C1"] * 3000)],
@@ -542,6 +616,28 @@ def test_verify_theorem_honours_cap(tmp_path):
     }
     assert [row["group"] for row in report["table"]] == ["C3"]
     assert report["manifest"]["caps"] == {"order_cap": 10}
+
+
+def test_cap_above_the_order_cap_is_not_in_force(tmp_path, capsys):
+    # ORDER_CAP still bounds every build, so the manifest records that
+    out = tmp_path / "report.json"
+    argv = ["spectrum", "--group", "A5", "--k-min", "1", "--k-max", "1", "--cap", "20000"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["manifest"]["caps"] == {"order_cap": ORDER_CAP}
+    argv = ["spectrum", "--group", "PSL2(29)", "--k-min", "1", "--k-max", "1", "--cap", "20000"]
+    assert main(argv) == EXIT_CAP_EXCEEDED
+    assert capsys.readouterr().err.endswith(f"exceeds cap {ORDER_CAP}\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv", [["mappings", "--group", "A5"], ["verify-theorem"]], ids=lambda argv: argv[0]
+)
+def test_cap_below_one_is_a_usage_error(argv, cap, capsys):
+    assert main([*argv, f"--cap={cap}"]) == EXIT_INPUT_ERROR
+    assert f"argument --cap: must be at least 1, got {cap}" in capsys.readouterr().err
+    assert main([*argv, "--cap", "x"]) == EXIT_INPUT_ERROR
+    assert "argument --cap: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_main_uncovered_aut_strategy_exits_cap_exceeded():

@@ -1,7 +1,7 @@
 """Every module-level import in ``src/autmap`` is used by its module, every
 module-level private name is referenced somewhere in the package, no module
-imports another's private name, importing the package starts no thread, and
-no command imports numpy.ma.
+imports another's private name, only the CLI imports ``gc``, importing the
+package starts no thread, and no command imports numpy.ma.
 
 No linter is part of the toolchain, so this parses each module with ``ast``.
 ``__init__.py`` is skipped by the import check: its imports are the package's
@@ -149,6 +149,35 @@ def test_private_imports_are_found(tmp_path):
 def test_no_module_imports_a_private_name():
     # a private name is its module's own: another module reads only public ones
     assert private_imports(SRC) == []
+
+
+def gc_importers(pkg: Path) -> set[str]:
+    """The modules of ``pkg`` that import ``gc``, at any depth."""
+    found = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "gc" for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_gc_importers_are_found(tmp_path):
+    (tmp_path / "a.py").write_text("def f():\n    import os, gc\n")
+    (tmp_path / "b.py").write_text("from gc import freeze\n")
+    (tmp_path / "c.py").write_text("from . import gc\nimport gcx\n")
+    assert gc_importers(tmp_path) == {"a", "b"}
+
+
+def test_only_the_cli_imports_gc():
+    # the process entry freezes the heap once its command has run; a library
+    # module that touched the collector would change its caller's
+    assert gc_importers(SRC) == {"cli"}
 
 
 _THREADS_SCRIPT = """
