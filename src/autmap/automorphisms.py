@@ -181,9 +181,10 @@ class _Row(Automorphism):
 def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
     """x -> c x c^-1 over the elements 0..count-1 (all of G for None).  On a
     table it is read as c (c x^-1)^-1, which touches row c alone."""
-    if G.table is None:
+    table = G.table
+    if table is None:
         return conjugations(G, [c], np.arange(G.n)[:count])[0]
-    row = G.table[c]
+    row = table[c]
     return row.take(G.inv.take(row.take(G.inv[:count])))
 
 

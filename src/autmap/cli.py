@@ -140,6 +140,8 @@ def cmd_verify_theorem(
     scope: list[str] | None, cap: int = ORDER_CAP
 ) -> tuple[dict, list[dict], int]:
     names = scope if scope else [e.name for e in NONSOLVABLE_ENTRIES]
+    if len(set(names)) < len(names):
+        raise ValueError(f"scope names a group more than once: {' '.join(names)}")
     # looked up before any group is built: unknown names are input errors
     entries = [get_entry(name) for name in names]
 
@@ -391,11 +393,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scope",
-        nargs="*",
+        nargs="+",
         default=None,
         metavar="NAME",
-        help="catalog names (default: all nonsolvable ones except the extended "
-        f"PSL2(q)); known: {', '.join(catalog_names())}",
+        help="one or more distinct catalog names (default: all nonsolvable ones "
+        f"except the extended PSL2(q)); known: {', '.join(catalog_names())}",
     )
 
     p = sub.add_parser(

@@ -4,7 +4,7 @@ The map under test is g -> g^k * a(g) for an automorphism a; k = 1 is the
 complete-mapping case, k = -1 the orthomorphism/fixed-point-free case.  On a
 finite group injectivity already gives bijectivity, so every predicate is an
 injectivity scan over power vectors; k-completeness scans a growing prefix
-of G and captures the first collision as a certificate.
+of G, each element once, and captures the first collision as a certificate.
 """
 
 from __future__ import annotations
@@ -54,35 +54,27 @@ def displacement_image(alpha: Automorphism, k: int, count: int | None = None) ->
     return np.asarray(G.mul_many(G.power_vec(k, count), alpha.prefix(count)), dtype=np.int32)
 
 
-def _first_collision(image: np.ndarray) -> tuple[int, int] | None:
-    """(g, h) with image[g] = image[h], g < h and h least."""
-    order = image.argsort(kind="stable")
-    ranked = image[order]
-    repeats = (ranked[1:] == ranked[:-1]).nonzero()[0]
-    if not len(repeats):
-        return None
-    # equal values sit together in index order, so the least later member
-    # of an adjacent pair is some value's second occurrence
-    i = repeats[np.argmin(order[repeats + 1])]
-    return int(order[i]), int(order[i + 1])
-
-
 def is_k_complete(alpha: Automorphism, k: int) -> CompletenessVerdict:
     """Is g -> g^k * a(g) bijective?  k may be negative (inverse powers).
 
-    The first collision is sought on a prefix of SCAN_PREFIX elements, and
-    the prefix doubles until one is found or it covers the group, so the
-    certificate is the first collision of the full image either way.  On
-    failure ``image`` holds the scanned prefix, on success the full image."""
+    The image is formed on a prefix of SCAN_PREFIX elements, and the prefix
+    doubles until a collision is found or it covers the group.  A map from
+    each value to the first h that gave it is kept across widenings, so each
+    h is read once, and the certificate is the least h whose value came
+    earlier, with that value's first position.  On failure ``image`` holds
+    the scanned prefix, on success the full image."""
     n = alpha.parent.n
-    width = min(SCAN_PREFIX, n)
+    first: dict[int, int] = {}
+    start, width = 0, min(SCAN_PREFIX, n)
     while True:
         image = displacement_image(alpha, k, width)
-        collision = _first_collision(image)
-        if collision is not None or width == n:
-            break
-        width = min(2 * width, n)
-    return CompletenessVerdict(collision is None, image, collision)
+        for h, v in enumerate(image[start:].tolist(), start):
+            g = first.setdefault(v, h)
+            if g != h:
+                return CompletenessVerdict(False, image, (g, h))
+        if width == n:
+            return CompletenessVerdict(True, image)
+        start, width = width, min(2 * width, n)
 
 
 def inverted_set(beta: Automorphism) -> list[int]:

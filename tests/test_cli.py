@@ -283,6 +283,14 @@ def test_pinned_report_digests():
     assert result_digest(results, table) == (
         "15e2ed400e445bd9748347fe89546e087bf0b97e9f6780978052dc27787a75e8"
     )
+    # certificates past the first prefix: 40 PSL2(11) rows first collide
+    # beyond 70 elements, and 262, 182 and 54 PSL2(19) rows beyond 70, 140
+    # and 280
+    results, table, code = cmd_verify_theorem(["PSL2(11)", "PSL2(19)"])
+    assert code == EXIT_OK
+    assert result_digest(results, table) == (
+        "ea70b7cb694dc9718a2934d306fbffeeaeac150f997e34062bf7991200266218"
+    )
 
 
 @pytest.mark.parametrize(
@@ -450,6 +458,9 @@ def test_main_input_errors(tmp_path):
     assert main(["spectrum", "--group", "PSL2(30)", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["spectrum", "--group", "S0", "--k-min", "0", "--k-max", "1"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "M11"]) == EXIT_INPUT_ERROR
+    # an empty --scope would run the default catalog, a repeated name twice
+    assert main(["verify-theorem", "--scope"]) == EXIT_INPUT_ERROR
+    assert main(["verify-theorem", "--scope", "A5", "C3", "A5"]) == EXIT_INPUT_ERROR
     assert main(["verify-theorem", "--scope", "A5", "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
     missing = str(tmp_path / "missing" / "r.json")
     assert main(["verify-theorem", "--scope", "A5", "--out", missing]) == EXIT_INPUT_ERROR

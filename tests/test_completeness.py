@@ -319,6 +319,12 @@ def test_prefix_scan_widens_past_the_first_prefix():
     v = is_k_complete(identity_automorphism(build_cyclic(150)), 1)
     assert not v.verdict
     assert v.collision == (0, 75)  # 2*75 = 0 in C150, beyond the first prefix
+    # in C_{2m} the identity first collides at (0, m): on each side of the
+    # widths 70, 140 and 280 the image stops at the first width holding m
+    for m, width in [(69, 70), (70, 140), (71, 140), (139, 140), (140, 280),
+                     (141, 280), (279, 280), (280, 560)]:
+        v = is_k_complete(identity_automorphism(build_cyclic(2 * m)), 1)
+        assert (v.verdict, v.collision, len(v.image)) == (False, (0, m), width), m
 
 
 def test_prefix_scan_certifies_a_complete_row_with_its_full_image():
