@@ -8,23 +8,21 @@ x -> c x c^-1, one c per coset of Z(G); its rows alpha o iota_c are addressed
 by position and formed, images included, each time they are read.  The
 representatives are found either
 
-  * by brute backtracking over the images of ``G.generators`` (|G| <= 512),
-    the generating set every automorphism is validated on: candidate images
-    are filtered by element order and centralizer size, and partial
-    assignments are closed level by level into partial homomorphisms,
-    pruning conflicts; only one tuple of images per Inn(G)-orbit is
-    searched, so exactly one automorphism per coset is found;
+  * by brute backtracking over the images of ``G.generators``, for any
+    group, the generating set every automorphism is validated on: candidate
+    images are filtered by element order and conjugacy class size, and
+    partial assignments are closed level by level into partial
+    homomorphisms through ``mul_many``, pruning conflicts; only one tuple of
+    images per Inn(G)-orbit is searched, so exactly one automorphism per
+    coset is found.  Its one bound is ``BRUTE_CAP`` cells of expansion;
   * or, for PSL2(q), structurally: every automorphism is
     M -> N * frob^i(M) * N^-1 with N ranging over PGL2(q) and i < f, and
-    N over PGL2(q)/PSL2(q) gives one per coset;
-  * or, for a direct product of coprime orders, as pairs of the factors'.
+    N over PGL2(q)/PSL2(q) gives one per coset.
 
 Composition order matches function composition: (a*b)(g) = a(b(g)).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,8 +30,10 @@ from .errors import AutomorphismError, CapExceededError, StrategyError
 from .groups import (
     MATERIALIZE_CAP,
     GroupTable,
+    blocks,
     center,
     closure_tree,
+    conjugacy_classes,
     conjugations,
     element_orders,
     is_homomorphism,
@@ -41,7 +41,10 @@ from .groups import (
     span_mask,
 )
 
-BRUTE_CAP = 512
+# the brute search's one bound: candidate tuples x candidate images x |G|
+# cells, no more than the largest table the package holds
+BRUTE_CAP = MATERIALIZE_CAP**2
+WORK_CELLS = 1 << 18  # cells in each block of the brute search's work arrays
 
 
 def _validated(parent: GroupTable, images) -> np.ndarray:
@@ -204,8 +207,11 @@ def _prefix_width(G: GroupTable) -> int:
     return max(G.generators, default=0) + 1
 
 
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    return np.lexsort(rows.T[::-1])
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` as one key, its big-endian int16 bytes, which
+    compare as its nonnegative entries do in lexicographic order."""
+    keys = np.ascontiguousarray(rows, dtype=">i2")
+    return keys.view(f"V{2 * rows.shape[1]}").ravel()
 
 
 class AutGroup:
@@ -234,7 +240,7 @@ class AutGroup:
         cs = _conjugators(parent)
         width = _prefix_width(parent)
         inner_prefix = conjugations(parent, cs, np.arange(width))
-        order = _lex_order(images[:, :width]).tolist()
+        order = np.argsort(_row_keys(images[:, :width]), kind="stable").tolist()
         # in image order the first row met of each coset is its least; it
         # becomes a representative, and the prefixes of its coset are covered
         covered, reps = set(), []
@@ -263,12 +269,17 @@ class AutGroup:
         self.reps = _validated(parent, images)
         width = _prefix_width(parent)
         cols = np.arange(width, dtype=np.int64)
-        prefix = self.reps[:, conjugations(parent, cs, cols)].reshape(-1, width)
-        order = _lex_order(prefix)
-        prefix = prefix[order]
-        if np.any(np.all(prefix[1:] == prefix[:-1], axis=1)):
+        # row (r, c) of the prefix is rep_r o iota_c on cols, big-endian
+        # int16 as _row_keys reads it, formed a block of conjugators at a time
+        prefix = np.empty((len(self.reps), len(cs), width), dtype=">i2")
+        for block in blocks(len(cs), width * len(self.reps), WORK_CELLS):
+            prefix[:, block] = self.reps[:, conjugations(parent, cs[block], cols)]
+        prefix = _row_keys(prefix.reshape(-1, width))
+        order = np.argsort(prefix, kind="stable")
+        prefix = prefix[order]  # lexicographic, ties in given order
+        if np.any(prefix[1:] == prefix[:-1]):
             raise AutomorphismError("cosets of Inn(G) are not disjoint")
-        if not np.array_equal(prefix[0], cols):
+        if prefix[0] != _row_keys(cols[None])[0]:
             raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
         self._rep_of, c_pos = np.divmod(order, len(cs))
         self._c_of = cs[c_pos]
@@ -307,30 +318,33 @@ def compute_inner(G: GroupTable) -> AutGroup:
 # ---------------------------------------------------------------------------
 
 
-def _consistent_tuples(T, gens, tuples, members, tree):
+def _consistent_tuples(G, gens, tuples, members, tree):
     """Which candidate generator-image tuples extend to an injective
     homomorphism on the subgroup spanned by ``members``; returns that mask
     and the survivors' images.  ``members`` and ``tree`` are the discovery
-    order and BFS tree from ``closure_tree``."""
-    n = T.shape[0]
+    order and BFS tree from ``closure_tree``; each level of the tree is
+    imaged in one product, for a block of tuples at a time."""
     src, genpos = tree
-    targets = members[1:]
-    oks = []
-    images_out = []
-    block = 1024  # bounds the (block, n) work arrays: about 1.5 MB each at n = 360
-    for start in range(0, len(tuples), block):
-        blk = tuples[start : start + block]
-        bn = len(blk)
-        phi = np.full((bn, n), -1, dtype=np.int32)
+    pos = np.empty(G.n, dtype=np.int64)
+    pos[members] = np.arange(len(members))
+    # the BFS levels, as slices of the targets members[1:]: a level ends
+    # before the first target whose source is in it
+    starts = [0]
+    while starts[-1] < len(src):
+        later = np.flatnonzero(pos[src[starts[-1] :]] > starts[-1])
+        starts.append(starts[-1] + int(later[0]) if len(later) else len(src))
+    targets, levels = members[1:], [slice(a, b) for a, b in zip(starts, starts[1:])]
+    right = [G.mul_many(members, g) for g in gens]  # x -> x g over the members
+    oks, images_out = [], []
+    for block in blocks(len(tuples), G.n, WORK_CELLS):
+        blk = tuples[block]
+        phi = np.full((len(blk), G.n), -1, dtype=np.int32)
         phi[:, 0] = 0
-        for t, s, k in zip(targets, src, genpos):
-            phi[:, t] = T[phi[:, s], blk[:, k]]
-        ok = np.ones(bn, dtype=bool)
-        for k, g in enumerate(gens):
-            lhs = phi[:, T[members, g]]
-            rhs = T[phi[:, members], blk[:, k : k + 1]]
-            ok &= (lhs == rhs).all(axis=1)
-        ok &= (phi[:, members] == 0).sum(axis=1) == 1
+        for lv in levels:
+            phi[:, targets[lv]] = G.mul_many(phi[:, src[lv]], blk[:, genpos[lv]])
+        ok = (phi[:, members] == 0).sum(axis=1) == 1
+        for k, xg in enumerate(right):
+            ok &= (phi[:, xg] == G.mul_many(phi[:, members], blk[:, k : k + 1])).all(axis=1)
         oks.append(ok)
         images_out.append(phi[ok])
     return np.concatenate(oks), np.concatenate(images_out)
@@ -339,7 +353,13 @@ def _consistent_tuples(T, gens, tuples, members, tree):
 def _orbit_least(G: GroupTable, masks: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row k: which of ``ys`` are the least of their orbit under conjugation
     by the subgroup ``masks[k]``."""
-    return np.stack([conjugations(G, np.flatnonzero(m), ys).min(axis=0) for m in masks]) == ys
+    out = np.empty((len(masks), len(ys)), dtype=bool)
+    for k, cs in enumerate(map(np.flatnonzero, masks)):
+        least = ys
+        for block in blocks(len(cs), len(ys), WORK_CELLS):
+            least = np.minimum(least, conjugations(G, cs[block], ys).min(axis=0))
+        out[k] = least == ys
+    return out
 
 
 def _brute_aut_images(G: GroupTable) -> np.ndarray:
@@ -350,39 +370,40 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
     before it: one tuple per orbit of Inn(G).  The identity's tuple is the
     one kept from Inn(G): g_j is the least element outside <g_1..g_j-1>, and
     a conjugate of g_j by the centralizer of g_1..g_j-1 lies outside that
-    subgroup too, so it is no less than g_j."""
-    T = G.require_table()
+    subgroup too, so it is no less than g_j.  Products go through
+    ``mul_many``; the table is read once, to build it where it can be."""
+    G.table
     gens = list(G.generators)
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
-    orders = element_orders(G)
-    commute = T == T.T
-    cent = commute.sum(axis=1)
-    cand_lists = [
-        np.nonzero((orders == orders[g]) & (cent == cent[g]))[0].astype(np.int64)
-        for g in gens
-    ]
+    # an automorphism keeps each element's order and conjugacy class size
+    orders, size = element_orders(G), np.empty(G.n, dtype=np.int64)
+    for cls in conjugacy_classes(G):
+        size[cls] = len(cls)
+    cand_lists = [np.flatnonzero((orders == orders[g]) & (size == size[g])) for g in gens]
     tuples = np.empty((1, 0), dtype=np.int64)
     # each tuple's common centralizer of its images, as a row of ``masks``
     masks, cid = np.ones((1, G.n), dtype=bool), np.zeros(1, dtype=np.int64)
     for j, cands in enumerate(cand_lists):
-        # no larger than the largest table the package holds
-        if len(tuples) * len(cands) * G.n > MATERIALIZE_CAP**2:
+        if len(tuples) * len(cands) * G.n > BRUTE_CAP:
             raise CapExceededError(
                 f"{G.name}: the brute Aut search would expand {len(tuples)} x {len(cands)} "
-                f"candidate images, over {MATERIALIZE_CAP}^2 cells"
+                f"candidate images, over {BRUTE_CAP} cells"
             )
         if j:
             # C(t_1..t_j) = C(t_1..t_j-1) & C(t_j), once per distinct pair
             pairs, cid = np.unique(cid * G.n + tuples[:, -1], return_inverse=True)
+            ys = pairs % G.n
+            fixing = [conjugations(G, np.arange(G.n), ys[b]).T == ys[b, None]
+                      for b in blocks(len(ys), G.n, WORK_CELLS)]
             masks, inv = np.unique(
-                masks[pairs // G.n] & commute[pairs % G.n], axis=0, return_inverse=True
+                masks[pairs // G.n] & np.concatenate(fixing), axis=0, return_inverse=True
             )
             cid = inv.reshape(-1)[cid]
         rows, cols = np.nonzero(_orbit_least(G, masks, cands)[cid])
         mask, members, tree = closure_tree(G, gens[: j + 1])
         expanded = np.hstack([tuples[rows], cands[cols, None]])
-        ok, images = _consistent_tuples(T, gens[: j + 1], expanded, members, tree)
+        ok, images = _consistent_tuples(G, gens[: j + 1], expanded, members, tree)
         tuples, cid = expanded[ok], cid[rows[ok]]
     if not mask.all():
         raise AutomorphismError("generators do not generate the group")
@@ -430,27 +451,12 @@ def _psl2_tag(diagonal: bool, i: int, c: int) -> str:
 
 
 def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
-    """Aut(G) via 'brute' (|G| <= 512), 'psl2_structured', or 'product'
-    (direct product with coprime factor orders).
-
-    An explicit strategy whose precondition fails raises StrategyError;
-    'auto' on a valid group that no strategy covers raises CapExceededError,
-    since only the brute-force cap stands in the way."""
+    """Aut(G) via 'brute', or 'psl2_structured' (StrategyError on a group not
+    built as PSL2(q)); 'auto' takes the one that applies.  A brute search
+    that would expand more than ``BRUTE_CAP`` cells raises CapExceededError."""
     if strategy == "auto":
-        if G.kind == "PSL2":
-            strategy = "psl2_structured"
-        elif G.n <= BRUTE_CAP:
-            strategy = "brute"
-        elif G.kind == "product" and math.gcd(*(H.n for H in G.meta["factors"])) == 1:
-            strategy = "product"
-        else:
-            raise CapExceededError(
-                f"{G.name}: order {G.n} exceeds the brute Aut search cap {BRUTE_CAP}, "
-                "and no structured strategy applies"
-            )
+        strategy = "psl2_structured" if G.kind == "PSL2" else "brute"
     if strategy == "brute":
-        if G.n > BRUTE_CAP:
-            raise StrategyError(f"brute Aut search capped at order {BRUTE_CAP}, got {G.n}")
         images = _brute_aut_images(G)
         ident = (images == np.arange(G.n)).all(axis=1)
         return AutGroup.from_reps(
@@ -461,23 +467,4 @@ def compute_aut(G: GroupTable, strategy: str = "auto") -> AutGroup:
             raise StrategyError("psl2_structured needs a group built as PSL2(q)")
         images, keys = _psl2_structured_images(G)
         return AutGroup.from_reps(G, images, lambda r, c: _psl2_tag(*keys[r], c))
-    if strategy == "product":
-        return _product_aut(G)
     raise StrategyError(f"unknown Aut strategy {strategy!r}")
-
-
-def _product_aut(G: GroupTable) -> AutGroup:
-    """Aut(G1 x G2) = Aut(G1) x Aut(G2) for coprime orders, so pairs of coset
-    representatives represent its Inn(G) = Inn(G1) x Inn(G2) cosets."""
-    if G.kind != "product":
-        raise StrategyError("product strategy needs a direct product")
-    G1, G2 = G.meta["factors"]
-    if math.gcd(G1.n, G2.n) != 1:
-        raise StrategyError(
-            "product Aut strategy requires coprime factor orders; "
-            f"got {G1.n} and {G2.n}"
-        )
-    R1, R2 = (compute_aut(H).reps for H in (G1, G2))
-    # row (r1, r2), at element (x1, x2) = x1 * |G2| + x2, is (R1[r1, x1], R2[r2, x2])
-    images = R1[:, None, :, None].astype(np.int64) * G2.n + R2[None, :, None, :]
-    return AutGroup.from_reps(G, images.reshape(-1, G.n), lambda r, c: "composed")

@@ -1,7 +1,7 @@
 """The built-in group catalog: desk-scale stand-ins for "every finite group".
 
 Solvable entries are controls; the nonsolvable entries are the exhaustive
-verification targets.  The extended entries, larger PSL2(q), are named only
+verification targets.  The extended entries, larger groups, are named only
 through an explicit scope.  The last entry's group and automorphism group
 are cached, so reading an entry's group and then its Aut(G) builds the group
 once, and a scan over many entries holds one entry's tables at a time.
@@ -56,7 +56,10 @@ NONSOLVABLE_ENTRIES = [
 
 CATALOG = SOLVABLE_ENTRIES + NONSOLVABLE_ENTRIES
 
-EXTENDED_ENTRIES = [_entry(f"PSL2({q})", False) for q in (11, 13, 16, 17, 19, 23, 25, 27)]
+EXTENDED_ENTRIES = [_entry(f"PSL2({q})", False) for q in (11, 13, 16, 17, 19, 23, 25, 27)] + [
+    _entry(expr, False) for expr in ("S6", "A7", "S7", "SL2(9)", "PGL2(9)", "SL2(11)", "PGL2(11)",
+                                     "SL2(13)", "PGL2(13)", "PGL2(17)", "A6 x C2", "A5 x A5")
+]
 
 
 def catalog_names() -> list[str]:

@@ -356,14 +356,19 @@ def cmd_mappings(expr: str, cap: int) -> tuple[dict, list[dict], int]:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no less than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -373,9 +378,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_at_least(0), default=0)
     common.add_argument(
-        "--cap", type=_positive_int, default=ORDER_CAP,
+        "--cap", type=_int_at_least(1), default=ORDER_CAP,
         help=f"group order cap, at least 1; it can only lower the built-in {ORDER_CAP}",
     )
 
@@ -397,7 +402,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="one or more distinct catalog names (default: all nonsolvable ones "
-        f"except the extended PSL2(q)); known: {', '.join(catalog_names())}",
+        f"except the extended entries); known: {', '.join(catalog_names())}",
     )
 
     p = sub.add_parser(

@@ -122,7 +122,7 @@ class GroupTable:
         read; None above ``MATERIALIZE_CAP``."""
         if self._table is None and self.n <= MATERIALIZE_CAP:
             table = np.empty((self.n, self.n), dtype=TABLE_DTYPE)
-            for rows in _row_blocks(self.n):
+            for rows in blocks(self.n, self.n):
                 table[rows] = self._row_block(rows)
             self._table = table
         return self._table
@@ -198,12 +198,13 @@ class GroupTable:
 # ---------------------------------------------------------------------------
 
 
-def _row_blocks(n: int):
-    """Row slices of an n-column product table, about 16,384 products each:
-    small enough that one block's temporaries stay in cache and are reused
-    by the allocator rather than mapped afresh."""
-    step = max(1, 16_384 // max(n, 1))
-    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+def blocks(count: int, width: int, cells: int = 16_384):
+    """Slices of range(count), as many items each as keep ``width`` cells per
+    item within ``cells`` (one item at least).  The default suits the rows of
+    a product table: one block's temporaries stay in cache and are reused by
+    the allocator rather than mapped afresh."""
+    step = max(1, cells // max(width, 1))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def _verify_group(gt: GroupTable):
@@ -214,7 +215,7 @@ def _verify_group(gt: GroupTable):
     if np.any(gt.mul_many(idx, gt.inv)) or np.any(gt.mul_many(gt.inv, idx)):
         raise GroupBuildError(f"{gt.name}: inverse table is wrong")
     rights = [gt.mul_many(idx, g) for g in gt.generators]  # z -> zg
-    for rows in _row_blocks(n):
+    for rows in blocks(n, n):
         # (xy)g == x(yg) for x in rows, every y and every generator g; the
         # block is widened to an index once, not once per generator inside
         # the take, and stays narrow where it is the source

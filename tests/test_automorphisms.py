@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from autmap.automorphisms import (
+    BRUTE_CAP,
     AutGroup,
     Automorphism,
     _brute_aut_images,
@@ -14,6 +15,7 @@ from autmap.automorphisms import (
 )
 from autmap.errors import AutomorphismError, CapExceededError, StrategyError
 from autmap.groups import (
+    ORDER_CAP,
     build_alternating,
     build_cyclic,
     build_psl2,
@@ -132,12 +134,17 @@ def test_aut_psl2_8_structured():
     assert len(A.coset_rows) == 3
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25])
 def test_brute_and_structured_agree_on_psl2(q):
-    G = build_psl2(q)
+    # the same cosets, compared by their least rows: every row's key would
+    # be about 1 GB for PSL2(25)
+    G = helpers.built(f"PSL2({q})")
     brute = compute_aut(G, "brute")
     structured = compute_aut(G, "psl2_structured")
-    assert {a.key for a in brute.all} == {a.key for a in structured.all}
+    assert len(brute) == len(structured)
+    assert [brute[j].key for j in brute.coset_rows] == [
+        structured[j].key for j in structured.coset_rows
+    ]
 
 
 BRUTE_GROUPS = [
@@ -214,25 +221,28 @@ def test_inner_closed_under_composition():
 
 
 def test_product_strategy_coprime():
-    G = elaborate_text("C3 x C4")
-    A = compute_aut(G, "product")
-    assert len(A) == 4  # Aut(C3) x Aut(C4) = 2 x 2
-    with pytest.raises(StrategyError):
-        compute_aut(elaborate_text("C2 x C4"), "product")
+    # coprime direct products go through the brute search like any group
+    assert len(compute_aut(elaborate_text("C3 x C4"))) == 4  # Aut(C3) x Aut(C4) = 2 x 2
+    assert len(compute_aut(helpers.built("A5 x C11"))) == 1200  # Aut(A5) x Aut(C11) = 120 x 10
 
 
 def test_auto_strategy_uncovered_group_is_a_cap():
-    # valid groups above the brute cap with no structured route
-    for G in (helpers.built("S7"), helpers.built("A5 x A5")):
-        with pytest.raises(CapExceededError, match="512"):
-            compute_aut(G)
+    # the brute search's one bound is its expansion guard, in cells
+    with pytest.raises(CapExceededError, match="336 x 120 candidate images"):
+        compute_aut(elaborate_text("A5 x C2 x C2 x C2"))
+    with pytest.raises(CapExceededError, match=f"over {BRUTE_CAP} cells"):
+        compute_aut(elaborate_text(" x ".join(["C2"] * 10)))
+    # no group the builders allow is over BRUTE_CAP by its order alone, so
+    # bench/traced.py, which names a non-PSL2 search "brute" while
+    # G.n <= BRUTE_CAP, names it truly
+    assert BRUTE_CAP >= ORDER_CAP
 
 
 def test_strategy_preconditions():
     with pytest.raises(StrategyError):
         compute_aut(build_symmetric(3), "psl2_structured")
-    with pytest.raises(StrategyError):
-        compute_aut(direct_product(build_alternating(5), build_cyclic(10)), "brute")
+    A = compute_aut(direct_product(build_alternating(5), build_cyclic(10)), "brute")
+    assert len(A) == 480  # Aut(A5) x Aut(C10) = 120 x 4
 
 
 # ---------------------------------------------------------------------------

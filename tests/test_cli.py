@@ -82,12 +82,48 @@ def test_verify_theorem_releases_each_group(monkeypatch):
 
 def test_extended_psl2_entries_only_by_scope():
     names = [e.name for e in EXTENDED_ENTRIES]
-    assert names == [f"PSL2({q})" for q in (11, 13, 16, 17, 19, 23, 25, 27)]
+    assert names == [f"PSL2({q})" for q in (11, 13, 16, 17, 19, 23, 25, 27)] + list(
+        EXTENDED_AUT_ORDERS
+    )
     assert not set(names) & {e.name for e in CATALOG}
-    assert all(get_entry(name).expr == name and not get_entry(name).solvable for name in names)
+    assert all(
+        get_entry(name).expr.replace(" ", "") == name and not get_entry(name).solvable
+        for name in names
+    )
     assert set(names) <= set(catalog_names())
     results, _, _ = cmd_verify_theorem(None)
     assert [g["group"] for g in results["groups"]] == [e.name for e in NONSOLVABLE_ENTRIES]
+
+
+# the extended entries beyond PSL2(q), with |Aut| by theorem: Aut(S6) =
+# PGammaL2(9); Aut(Sn) = Sn for n != 6; Aut(A7) = S7; Aut(SL2(q)) =
+# Aut(PGL2(q)) = PGammaL2(q); Aut(A6 x C2) = Aut(A6) x Aut(C2); and
+# Aut(A5 x A5) = Aut(A5) wr C2
+EXTENDED_AUT_ORDERS = {
+    "S6": 1440, "A7": 5040, "S7": 5040,
+    "SL2(9)": 1440, "PGL2(9)": 1440, "SL2(11)": 1320, "PGL2(11)": 1320,
+    "SL2(13)": 2184, "PGL2(13)": 2184, "PGL2(17)": 4896,
+    "A6xC2": 1440, "A5xA5": 28800,
+}
+
+
+@pytest.mark.parametrize("name", EXTENDED_AUT_ORDERS)
+def test_spectrum_of_extended_brute_entries(name):
+    # each has its Aut(G) from the brute search, above order 512
+    results, _, code = cmd_spectrum(get_entry(name).expr, 1, 1, False, False, ORDER_CAP)
+    assert code == EXIT_OK
+    assert results["aut_size"] == EXTENDED_AUT_ORDERS[name]
+    assert results["k_complete_counts"] == {"1": 0}
+
+
+def test_verify_theorem_extended_brute_entries():
+    results, table, code = cmd_verify_theorem(list(EXTENDED_AUT_ORDERS))
+    assert code == EXIT_OK
+    assert {g["group"]: g["aut_size"] for g in results["groups"]} == EXTENDED_AUT_ORDERS
+    assert all(g["all_fail"] for g in results["groups"])
+    assert result_digest(results, table) == (
+        "d42f53d3ef25832643e0054bcab485fca17628af16092ac73648606f4852af7b"
+    )
 
 
 def test_verify_theorem_extended_scope(tmp_path):
@@ -237,6 +273,23 @@ def test_witness_wreath_cmd():
     results, _, code = cmd_witness_wreath("A5", 3, seed=1, cap=10000)
     assert code == EXIT_OK
     assert results["verified"] and results["eq2_holds"]
+
+
+def test_witness_wreath_over_a7(tmp_path):
+    # A7, order 2520, has its Aut(G) from the brute search
+    out = tmp_path / "w.json"
+    assert main(["witness", "wreath", "--base", "A7", "--n", "3", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["results"]["verified"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "wreath", "--base", "A5", "--n", "2"], ["mappings", "--group", "A5"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert main([*argv, "--seed", "-1"]) == EXIT_INPUT_ERROR
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_mappings_cmd():

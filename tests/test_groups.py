@@ -591,12 +591,12 @@ def test_table_is_pinned(name):
 def test_matrix_table_matches_on_demand_products(kind, q):
     # the table is filled by row gathers; the on-demand pair products read
     # the same rowprod entries and lookup, compared a row block at a time
-    from autmap.groups import _row_blocks
+    from autmap.groups import blocks
 
     G = built(f"{kind}({q})")
     idx = np.arange(G.n, dtype=np.int64)
     T = G.require_table()
-    for rows in _row_blocks(G.n):
+    for rows in blocks(G.n, G.n):
         assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx[None, :]))
 
 

@@ -1,13 +1,15 @@
-"""Only the group layer and the n^2 algorithms read a group's table.
+"""Only the group layer, automorphisms and the mapping search read a group's table.
 
 Reading ``.table`` builds the table (order <= 4096), so a read costs its
 n^2 products and n^2 int16 entries.  Everything else multiplies through
 ``GroupTable.mul_many``, which reads the table once it has been built and
-multiplies on demand until then.  The readers are the brute Aut search and
-the row scan's conjugations (automorphisms) and the complete-mapping search
-(mappings); the two searches read it through ``require_table()``.  This
-parses each module with ``ast`` and collects those that read a ``.table`` or
-``.require_table`` attribute.
+multiplies on demand until then.  The readers are automorphisms and
+mappings.  The brute Aut search reads ``.table`` once, so that its products
+through ``mul_many`` come from a table where one can be built, and holds no
+n x n array of its own; the row scan's conjugations read rows of it.  The
+complete-mapping search, an n^2 algorithm, reads it through
+``require_table()``.  This parses each module with ``ast`` and collects
+those that read a ``.table`` or ``.require_table`` attribute.
 
 A table is only ever the cache that ``GroupTable.table`` fills, and the
 products reach the rest of the package through ``mul_many`` alone, so only

@@ -213,7 +213,7 @@ def test_psl2_witness_runs_without_a_table():
     # scalar products, so its group's 32 MiB table is never built
     import tracemalloc
 
-    from autmap.groups import _row_blocks
+    from autmap.groups import blocks
 
     tracemalloc.start()
     try:
@@ -227,7 +227,7 @@ def test_psl2_witness_runs_without_a_table():
     T = G.table  # a later read builds the table, equal to the on-demand products
     assert G.is_materialized
     idx = np.arange(G.n, dtype=np.int64)
-    for rows in _row_blocks(G.n):
+    for rows in blocks(G.n, G.n):
         assert np.array_equal(T[rows], G._mul_many_fn(idx[rows, None], idx))
 
 
