@@ -161,7 +161,7 @@ def fixed_points(alpha: Automorphism) -> list[int]:
 class _Row(Automorphism):
     """``rep`` o iota_c, an automorphism by construction (``rep`` is one, and
     conjugation is one by the group axioms), so it is not re-checked.  Its
-    images, a prefix of them, or a single image are formed on each read."""
+    images, or a prefix of them, are formed on each read."""
 
     def __init__(self, parent: GroupTable, rep: np.ndarray, c: int, provenance: str):
         self.parent = parent
@@ -175,10 +175,6 @@ class _Row(Automorphism):
 
     def prefix(self, count: int | None) -> np.ndarray:
         return self._rep.take(_conjugation(self.parent, self._c, count))
-
-    def __call__(self, x: int) -> int:
-        G, c = self.parent, self._c
-        return int(self._rep[G.mul(G.mul(c, x), G.inverse(c))])
 
 
 def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
@@ -209,7 +205,8 @@ def _prefix_width(G: GroupTable) -> int:
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of ``rows`` as one key, its big-endian int16 bytes, which
-    compare as its nonnegative entries do in lexicographic order."""
+    compare as its nonnegative entries do in lexicographic order; a view of
+    ``rows`` when they are already contiguous big-endian int16."""
     keys = np.ascontiguousarray(rows, dtype=">i2")
     return keys.view(f"V{2 * rows.shape[1]}").ravel()
 
@@ -240,7 +237,7 @@ class AutGroup:
         cs = _conjugators(parent)
         width = _prefix_width(parent)
         inner_prefix = conjugations(parent, cs, np.arange(width))
-        order = np.argsort(_row_keys(images[:, :width]), kind="stable").tolist()
+        order = np.argsort(_row_keys(images[:, :width])).tolist()
         # in image order the first row met of each coset is its least; it
         # becomes a representative, and the prefixes of its coset are covered
         covered, reps = set(), []
@@ -250,8 +247,8 @@ class AutGroup:
                 covered.update(key.tobytes() for key in images[i][inner_prefix])
         names = np.array([autos[i].provenance for i in order])  # row j is given row order[j]
         self._setup(parent, images[reps], cs, lambda j, r, c: str(names[j]))
-        if len(self) != len(autos) or not np.array_equal(
-            np.stack([a.images for a in self]), images[order]
+        if len(self) != len(autos) or not all(
+            np.array_equal(row.images, images[i]) for row, i in zip(self, order)
         ):
             raise AutomorphismError("given rows are not whole Inn(G)-cosets without duplicates")
 
@@ -274,12 +271,12 @@ class AutGroup:
         prefix = np.empty((len(self.reps), len(cs), width), dtype=">i2")
         for block in blocks(len(cs), width * len(self.reps), WORK_CELLS):
             prefix[:, block] = self.reps[:, conjugations(parent, cs[block], cols)]
-        prefix = _row_keys(prefix.reshape(-1, width))
-        order = np.argsort(prefix, kind="stable")
-        prefix = prefix[order]  # lexicographic, ties in given order
-        if np.any(prefix[1:] == prefix[:-1]):
+        keys = _row_keys(prefix.reshape(-1, width))  # a view of the prefix
+        order = np.argsort(keys)
+        keys.sort()  # in place: the keys are distinct, or refused just below
+        if np.any(keys[1:] == keys[:-1]):
             raise AutomorphismError("cosets of Inn(G) are not disjoint")
-        if prefix[0] != _row_keys(cols[None])[0]:
+        if keys[0] != _row_keys(cols[None])[0]:
             raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
         self._rep_of, c_pos = np.divmod(order, len(cs))
         self._c_of = cs[c_pos]

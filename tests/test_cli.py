@@ -34,6 +34,7 @@ from autmap.cli import (
 from autmap.completeness import CompletenessVerdict
 from autmap.errors import ParseError, TheoremViolationError
 from autmap.groups import ORDER_CAP
+from autmap.mappings import NONEXISTENT, MappingCertificate
 from autmap.parser import elaborate_text
 from autmap.reports import build_report, result_digest
 from autmap.structure import is_solvable
@@ -300,6 +301,34 @@ def test_mappings_cmd():
     results, _, code = cmd_mappings("Q8", cap=10000)
     assert code == EXIT_OK
     assert results["complete"]["status"] == "exists"
+
+
+def test_mappings_out_of_budget_is_a_cap(monkeypatch, tmp_path):
+    real = cli.find_orthomorphism
+    monkeypatch.setattr(cli, "find_orthomorphism", lambda G: real(G, budget=1))
+    out = tmp_path / "m.json"
+    assert main(["mappings", "--group", "C3", "--out", str(out)]) == EXIT_CAP_EXCEEDED
+    results = json.loads(out.read_text())["results"]
+    assert results["orthomorphism"]["status"] == "indeterminate"
+    assert not results["matches_prediction"]
+
+
+def test_mappings_against_the_prediction_is_a_violation(monkeypatch, tmp_path):
+    # C3 has odd order, so Hall-Paige predicts a complete mapping
+    forged = MappingCertificate("C3", "complete", NONEXISTENT, None, 0)
+    monkeypatch.setattr(cli, "find_complete_mapping", lambda G: forged)
+    out = tmp_path / "m.json"
+    assert main(["mappings", "--group", "C3", "--out", str(out)]) == EXIT_THEOREM_VIOLATION
+    results = json.loads(out.read_text())["results"]
+    assert results["complete"]["status"] == "nonexistent"
+    assert not results["matches_prediction"]
+
+
+def test_spectrum_of_the_trivial_group():
+    # C1 has no generators: its one automorphism is the identity
+    _, table, code = cmd_spectrum("C1", 1, 1, False, False, ORDER_CAP)
+    assert code == EXIT_OK
+    assert [(row["aut_index"], row["certificate"]) for row in table] == [(0, "image:0")]
 
 
 # ---------------------------------------------------------------------------

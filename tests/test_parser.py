@@ -46,6 +46,11 @@ def test_syntax_error_offsets():
         parse_group_expr("Zoo(3)")
     with pytest.raises(ParseError):
         parse_group_expr("C()")
+    # an unclosed group and an unclosed atom parameter
+    for text, offset in (("(C2", 4), ("PSL2(7", 7)):
+        with pytest.raises(ParseError, match="expected '\\)'") as e:
+            parse_group_expr(text)
+        assert e.value.offset == offset
 
 
 def test_roundtrip_through_canonical_printer():
