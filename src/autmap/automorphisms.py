@@ -197,18 +197,13 @@ def _conjugators(G: GroupTable) -> np.ndarray:
     return np.flatnonzero(np.bincount(least))
 
 
-def _prefix_width(G: GroupTable) -> int:
-    """Columns 0..max(generators): two distinct automorphisms differ on a
-    generator, so this prefix orders them as their full images do."""
-    return max(G.generators, default=0) + 1
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of ``rows`` as one key, its big-endian int16 bytes, which
-    compare as its nonnegative entries do in lexicographic order; a view of
-    ``rows`` when they are already contiguous big-endian int16."""
-    keys = np.ascontiguousarray(rows, dtype=">i2")
-    return keys.view(f"V{2 * rows.shape[1]}").ravel()
+def _key_columns(G: GroupTable) -> np.ndarray:
+    """The identity and ``G.generators``: automorphisms compare on these
+    columns exactly as on their full images.  Let two of them first differ
+    on g_j; they agree on <g_1..g_j-1>, which holds every index below g_j,
+    since g_j is the least index outside it.  So g_j is also the first
+    column where their images differ.  The proof needs greedy generators."""
+    return np.array([0, *G.generators], dtype=np.int64)
 
 
 class AutGroup:
@@ -235,16 +230,16 @@ class AutGroup:
         autos = list(all_autos)
         images = np.stack([a.images for a in autos])
         cs = _conjugators(parent)
-        width = _prefix_width(parent)
-        inner_prefix = conjugations(parent, cs, np.arange(width))
-        order = np.argsort(_row_keys(images[:, :width])).tolist()
+        cols = _key_columns(parent)
+        inner_keys = conjugations(parent, cs, cols)
+        order = np.lexsort(images[:, cols[::-1]].T).tolist()
         # in image order the first row met of each coset is its least; it
-        # becomes a representative, and the prefixes of its coset are covered
+        # becomes a representative, and the keys of its coset are covered
         covered, reps = set(), []
         for i in order:
-            if images[i, :width].tobytes() not in covered:
+            if images[i, cols].tobytes() not in covered:
                 reps.append(i)
-                covered.update(key.tobytes() for key in images[i][inner_prefix])
+                covered.update(key.tobytes() for key in images[i][inner_keys])
         names = np.array([autos[i].provenance for i in order])  # row j is given row order[j]
         self._setup(parent, images[reps], cs, lambda j, r, c: str(names[j]))
         if len(self) != len(autos) or not all(
@@ -264,19 +259,14 @@ class AutGroup:
     def _setup(self, parent, images, cs, name):
         self.parent = parent
         self.reps = _validated(parent, images)
-        width = _prefix_width(parent)
-        cols = np.arange(width, dtype=np.int64)
-        # row (r, c) of the prefix is rep_r o iota_c on cols, big-endian
-        # int16 as _row_keys reads it, formed a block of conjugators at a time
-        prefix = np.empty((len(self.reps), len(cs), width), dtype=">i2")
-        for block in blocks(len(cs), width * len(self.reps), WORK_CELLS):
-            prefix[:, block] = self.reps[:, conjugations(parent, cs[block], cols)]
-        keys = _row_keys(prefix.reshape(-1, width))  # a view of the prefix
-        order = np.argsort(keys)
-        keys.sort()  # in place: the keys are distinct, or refused just below
-        if np.any(keys[1:] == keys[:-1]):
+        cols = _key_columns(parent)
+        # row (r, c) is keyed on rep_r o iota_c at the key columns
+        keys = self.reps[:, conjugations(parent, cs, cols)].reshape(-1, len(cols))
+        order = np.lexsort(keys[:, ::-1].T)
+        keys = keys[order]
+        if np.any((keys[1:] == keys[:-1]).all(axis=1)):
             raise AutomorphismError("cosets of Inn(G) are not disjoint")
-        if keys[0] != _row_keys(cols[None])[0]:
+        if not np.array_equal(keys[0], cols):
             raise AutomorphismError("Inn(G) is not contained in the computed Aut(G)")
         self._rep_of, c_pos = np.divmod(order, len(cs))
         self._c_of = cs[c_pos]

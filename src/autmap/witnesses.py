@@ -255,7 +255,7 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
 
     if elem == 0 or G.mul(elem, elem) != 0:
         raise TheoremViolationError("witness element does not have order 2")
-    verified = elem != 0 and int(rep.images[elem]) == int(G.inv[elem])
+    verified = int(rep.images[elem]) == int(G.inv[elem])
     return Psl2Witness(
         group=G,
         q=q,

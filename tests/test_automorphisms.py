@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -305,14 +307,17 @@ def test_autgroup_rebuilt_from_rows_in_any_order(text):
         _assert_same_autgroup(AutGroup(A.parent, given), A)
 
 
-def test_rows_are_sorted_and_formed_from_their_parts():
-    A = compute_aut(build_psl2(8))
-    keys = [a.key for a in A.all]
+# PSL2(8)'s generators are 1, 2, 3; the others' leave gaps, so their rows
+# are sorted on columns other than a prefix of the images
+@pytest.mark.parametrize("text", ["PSL2(8)", "S5", "A6", "A5 x C3", "S6", "A6 x C2"])
+def test_rows_are_sorted_and_formed_from_their_parts(text):
+    A = compute_aut(helpers.built(text))
+    keys = [a.key for a in A.all]  # the full images
     assert keys == sorted(keys) and len(set(keys)) == len(A)
     G = A.parent
     # the representatives are one read-only image matrix, a row per coset
     assert A.reps.shape == (len(A.coset_rows), G.n) and not A.reps.flags.writeable
-    for j in (0, 1, 700, len(A) - 1):
+    for j in (0, 1, len(A) // 2, len(A) - 1):
         r, c = A.parts(j)
         row = A.all[j]
         conj = [G.mul(G.mul(c, x), G.inverse(c)) for x in range(G.n)]
@@ -351,11 +356,23 @@ def test_autgroup_consistency_checks():
         AutGroup(G, list(A.all)[:-1])
     with pytest.raises(AutomorphismError, match="duplicate"):
         AutGroup(G, list(A.all) + [A.all[3]])
+    # keys name rows only among automorphisms: a forged row that matches a
+    # true one on every key column is caught by the row-by-row comparison
+    A = compute_aut(build_alternating(6))
+    rows = list(A.all)
+    j = next(j for j in range(1, len(A)) if j not in A.coset_rows)
+    images = rows[j].images.copy()
+    x, y = [x for x in range(1, A.parent.n) if x not in A.parent.generators][:2]
+    images[[x, y]] = images[[y, x]]
+    rows[j] = SimpleNamespace(images=images, provenance="forged")
+    with pytest.raises(AutomorphismError, match="cosets"):
+        AutGroup(A.parent, rows)
 
 
 def test_setup_holds_one_key_buffer():
-    # the conjugation prefix of every row, (|Aut| x (max(generators) + 1))
-    # int16 keys, is sorted in place: 39.6 MiB for A5 x A5, held once
+    # rows are keyed on their images of the identity and the generators,
+    # |Aut| x 7 int32 for A5 x A5 (0.8 MiB), so Aut(G) is computed within
+    # 16 MiB above the built group
     import tracemalloc
 
     G = elaborate_text("A5 x A5")
@@ -367,9 +384,8 @@ def test_setup_holds_one_key_buffer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    keys = len(A) * (max(G.generators) + 1) * 2
-    assert keys == 8 * 3600 * 721 * 2
-    assert peak <= 1.25 * keys
+    assert len(A) == 28800 and len(G.generators) == 6
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,12 @@ def test_generators_generate_every_catalog_group():
 
     for entry in CATALOG:
         G = catalog_group(entry.name)
-        assert closure_tree(G, G.generators)[0].all(), entry.name
+        gens = G.generators
+        assert closure_tree(G, gens)[0].all(), entry.name
+        # greedy: each g_j is the least index outside <g_1..g_j-1>, which
+        # Aut(G)'s row order rests on
+        for j, g in enumerate(gens):
+            assert np.argmin(closure_tree(G, gens[:j])[0]) == g, entry.name
 
 
 @pytest.mark.parametrize("text", ["S7", "PSL2(7) x C25"])
