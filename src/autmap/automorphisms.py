@@ -305,23 +305,15 @@ def compute_inner(G: GroupTable) -> AutGroup:
 # ---------------------------------------------------------------------------
 
 
-def _consistent_tuples(G, gens, tuples, members, tree):
+def _consistent_tuples(G, tuples, members, tree):
     """Which candidate generator-image tuples extend to an injective
     homomorphism on the subgroup spanned by ``members``; returns that mask
     and the survivors' images.  ``members`` and ``tree`` are the discovery
     order and BFS tree from ``closure_tree``; each level of the tree is
-    imaged in one product, for a block of tuples at a time."""
-    src, genpos = tree
-    pos = np.empty(G.n, dtype=np.int64)
-    pos[members] = np.arange(len(members))
-    # the BFS levels, as slices of the targets members[1:]: a level ends
-    # before the first target whose source is in it
-    starts = [0]
-    while starts[-1] < len(src):
-        later = np.flatnonzero(pos[src[starts[-1] :]] > starts[-1])
-        starts.append(starts[-1] + int(later[0]) if len(later) else len(src))
-    targets, levels = members[1:], [slice(a, b) for a, b in zip(starts, starts[1:])]
-    right = [G.mul_many(members, g) for g in gens]  # x -> x g over the members
+    imaged in one product, for a block of tuples at a time, and each
+    member's product by each generator is checked against the images."""
+    src, genpos, levels, prods = tree
+    targets = members[1:]
     oks, images_out = [], []
     for block in blocks(len(tuples), G.n, WORK_CELLS):
         blk = tuples[block]
@@ -329,9 +321,10 @@ def _consistent_tuples(G, gens, tuples, members, tree):
         phi[:, 0] = 0
         for lv in levels:
             phi[:, targets[lv]] = G.mul_many(phi[:, src[lv]], blk[:, genpos[lv]])
-        ok = (phi[:, members] == 0).sum(axis=1) == 1
-        for k, xg in enumerate(right):
-            ok &= (phi[:, xg] == G.mul_many(phi[:, members], blk[:, k : k + 1])).all(axis=1)
+        mapped = phi[:, members]
+        ok = (mapped == 0).sum(axis=1) == 1
+        for k, xg in enumerate(prods.T):
+            ok &= (phi[:, xg] == G.mul_many(mapped, blk[:, k : k + 1])).all(axis=1)
         oks.append(ok)
         images_out.append(phi[ok])
     return np.concatenate(oks), np.concatenate(images_out)
@@ -390,7 +383,7 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
         rows, cols = np.nonzero(_orbit_least(G, masks, cands)[cid])
         mask, members, tree = closure_tree(G, gens[: j + 1])
         expanded = np.hstack([tuples[rows], cands[cols, None]])
-        ok, images = _consistent_tuples(G, gens[: j + 1], expanded, members, tree)
+        ok, images = _consistent_tuples(G, expanded, members, tree)
         tuples, cid = expanded[ok], cid[rows[ok]]
     if not mask.all():
         raise AutomorphismError("generators do not generate the group")

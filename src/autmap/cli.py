@@ -31,7 +31,6 @@ from .errors import (
     AutmapError,
     CapExceededError,
     GroupBuildError,
-    ParseError,
     TheoremViolationError,
 )
 from .groups import ORDER_CAP, check_order_cap, predicted_atomic_order
@@ -100,18 +99,23 @@ def _certificate_text(verdict) -> str:
     return f"collision:{verdict.collision[0]}|{verdict.collision[1]}"
 
 
-def _scan(G, aut, rows, ks, group: str, verdict_key: str, iterate: bool = False) -> list[dict]:
+def _scan(
+    G, aut, rows, ks, group: str, verdict_key: str, iterate: bool = False
+) -> tuple[list[dict], dict[int, int]]:
     """The report rows of the k-completeness scan: one per k in ``ks`` for
     each position j in ``rows`` of Aut(G)'s rows ``aut[j]``.  A report row
     numbers its automorphism by its place in ``rows`` and holds the verdict
     under ``verdict_key``; with ``iterate`` it also says whether the iterate
-    map is bijective.  Every failure certificate is re-checked before the
-    rows are returned."""
+    map is bijective.  Returns the report rows and, for each k, how many of
+    the scanned automorphisms are k-complete.  Every failure certificate is
+    re-checked before the rows are returned."""
     table, failed, nfail = [], np.empty((len(rows) * len(ks), 5), dtype=np.int32), 0
+    complete = dict.fromkeys(ks, 0)
     for idx, j in enumerate(rows):
         alpha = aut[j]
         for k in ks:
             v = is_k_complete(alpha, k)
+            complete[k] += v.verdict
             if not v.verdict:
                 failed[nfail] = (*aut.parts(j), *v.collision, k)
                 nfail += 1
@@ -127,7 +131,7 @@ def _scan(G, aut, rows, ks, group: str, verdict_key: str, iterate: bool = False)
                 row["iterate_bijective"] = iterate_map_bijective(alpha, k) if k >= 1 else None
             table.append(row)
     _reverify_failures(G, aut.reps, failed[:nfail])
-    return table
+    return table, complete
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +161,16 @@ def cmd_verify_theorem(
         # a solvable group is a control: its identity automorphism, row 0 of
         # Inn(G), is the only row
         aut = compute_inner(G) if solvable else catalog_aut(name)
-        rows = _scan(G, aut, [0] if solvable else range(len(aut)), [1], name, "verdict")
+        rows, complete = _scan(G, aut, [0] if solvable else range(len(aut)), [1], name, "verdict")
         result = {"group": name, "order": G.n, "solvable": solvable}
         if solvable:
-            result["control_identity_1_complete"] = rows[0]["verdict"]
+            result["control_identity_1_complete"] = complete[1] == 1
             result["odd_order"] = G.n % 2 == 1
         else:
-            complete_count = sum(row["verdict"] for row in rows)
             result["aut_size"] = len(aut)
             result["inner_size"] = len(aut) // len(aut.coset_rows)  # |Inn(G)| rows per coset
-            result["one_complete_found"] = complete_count
-            result["all_fail"] = complete_count == 0
+            result["one_complete_found"] = complete[1]
+            result["all_fail"] = complete[1] == 0
         return result, rows
 
     pairs = [one_group(entry) for entry in entries]
@@ -203,16 +206,14 @@ def cmd_spectrum(
     aut = compute_aut(G, "auto")
     rows = range(len(aut)) if all_autos else aut.coset_rows
     ks = list(range(k_min, k_max + 1))
-    table = _scan(G, aut, rows, ks, G.name, "k_complete", iterate)
+    table, complete = _scan(G, aut, rows, ks, G.name, "k_complete", iterate)
     results = {
         "group": G.name,
         "order": G.n,
         "aut_size": len(aut),
         "rows_are": "all" if all_autos else "coset_reps",
         "k_range": [k_min, k_max],
-        "k_complete_counts": {
-            str(k): sum(1 for r in table if r["k"] == k and r["k_complete"]) for k in ks
-        },
+        "k_complete_counts": {str(k): complete[k] for k in ks},
     }
     return results, table, EXIT_OK
 
@@ -474,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
         else:  # mappings: argparse requires one of the four commands
             scope = [args.group]
             results, table, code = cmd_mappings(args.group, cap)
-    except ParseError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

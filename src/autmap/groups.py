@@ -231,30 +231,33 @@ def closure_tree(G: GroupTable, gens):
     multiplication (inverses come for free in a finite group).  Multiplies
     through ``mul_many``, so no table is needed.
 
-    Returns ``(mask, members, (src, genpos))``: the membership mask of the
-    generated subgroup, its members in discovery order (identity first), and
-    the BFS tree, members[i] = src[i-1] * gens[genpos[i-1]] with every src
-    discovered before its target."""
+    Returns ``(mask, members, (src, genpos, levels, prods))``: the membership
+    mask of the generated subgroup, its members in discovery order (identity
+    first), and the BFS tree, members[i] = src[i-1] * gens[genpos[i-1]].
+    ``levels`` slices the targets members[1:] into BFS levels, every source
+    of a level discovered before it, and prods[i, j] = members[i] * gens[j]."""
     mask = np.zeros(G.n, dtype=bool)
     mask[0] = True
     garr = np.asarray([int(g) for g in gens], dtype=np.int64)
     m = len(garr)
     frontier = np.zeros(1, dtype=np.int64)
-    members, src, genpos = [frontier], [frontier[:0]], [frontier[:0]]
-    while len(frontier) and m:
+    members, src, genpos, prods = [frontier], [frontier[:0]], [frontier[:0]], []
+    while len(frontier):
+        prods.append(G.mul_many(frontier[:, None], garr))
         # np.unique's first index of each product is the first edge into it
-        prods, first = np.unique(
-            G.mul_many(np.repeat(frontier, m), np.tile(garr, len(frontier))),
-            return_index=True,
-        )
-        new = ~mask[prods]
+        found, first = np.unique(prods[-1], return_index=True)
+        new = ~mask[found]
         first = first[new]
         src.append(frontier[first // m])
         genpos.append(first % m)
-        frontier = prods[new]
+        frontier = found[new]
         mask[frontier] = True
         members.append(frontier)
-    return mask, np.concatenate(members), (np.concatenate(src), np.concatenate(genpos))
+    # the levels are the frontiers after the identity, less the empty last one
+    ends = np.cumsum([0, *map(len, members[1:-1])]).tolist()
+    levels = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    tree = (np.concatenate(src), np.concatenate(genpos), levels, np.concatenate(prods))
+    return mask, np.concatenate(members), tree
 
 
 def span_mask(G: GroupTable, elements) -> tuple[np.ndarray, list[int]]:

@@ -122,7 +122,7 @@ def full_brute_aut(G: GroupTable) -> automorphisms.AutGroup:
             [np.repeat(tuples, len(cands), axis=0), np.tile(cands, len(tuples))[:, None]]
         )
         _, members, tree = closure_tree(G, gens[: j + 1])
-        ok, images = automorphisms._consistent_tuples(G, gens[: j + 1], expanded, members, tree)
+        ok, images = automorphisms._consistent_tuples(G, expanded, members, tree)
         tuples = expanded[ok]
     ident = (images == np.arange(G.n)).all(axis=1)
     return automorphisms.AutGroup(

@@ -629,17 +629,28 @@ def test_table_mul_many_matches_indexing(text):
     assert np.array_equal(G.mul_many(rows, cols), T[rows, cols])
 
 
-@pytest.mark.parametrize("text", ["PSL2(7)", "S7"])
+# PSL2(23) has no table, so its products come from the on-demand kernel;
+# C1 has no generators, so its tree has no levels
+@pytest.mark.parametrize("text", ["PSL2(7)", "S7", "PSL2(23)", "C1"])
 def test_closure_tree_invariants(text):
     G = built(text)
     gens = np.asarray(G.generators, dtype=np.int64)
-    mask, members, (src, genpos) = closure_tree(G, gens)
+    mask, members, (src, genpos, levels, prods) = closure_tree(G, gens)
     assert members[0] == 0
     assert len(src) == len(genpos) == len(members) - 1
     assert np.array_equal(members[1:], G.mul_many(src, gens[genpos]))
     position = np.empty(G.n, dtype=np.int64)
     position[members] = np.arange(len(members))
     assert np.all(position[src] < np.arange(1, len(members)))
+    # the levels slice the targets members[1:] in order with no gaps, and
+    # every source of a level is discovered before the level starts
+    bounds = [0] + [lv.stop for lv in levels]
+    assert [lv.start for lv in levels] == bounds[:-1]
+    assert bounds[-1] == len(members) - 1
+    for lv in levels:
+        assert lv.start < lv.stop
+        assert np.all(position[src[lv]] <= lv.start)
+    assert np.array_equal(prods, G.mul_many(members[:, None], gens[None, :]))
     assert set(members.tolist()) == closure(G, gens.tolist())
     assert len(members) == mask.sum()
     assert np.array_equal(np.nonzero(mask)[0], np.sort(members))
