@@ -178,9 +178,11 @@ class _Row(Automorphism):
 
 
 def _conjugation(G: GroupTable, c: int, count: int | None = None) -> np.ndarray:
-    """x -> c x c^-1 over the elements 0..count-1 (all of G for None).  On a
-    table it is read as c (c x^-1)^-1, which touches row c alone."""
-    table = G.table
+    """x -> c x c^-1 over the elements 0..count-1 (all of G for None).  A
+    prefix (the row scan's read) reads the table, building it where it can;
+    a whole image reads it only once built, and multiplies on demand until
+    then.  On a table it is read as c (c x^-1)^-1, which touches row c alone."""
+    table = G.table if count is not None or G.is_materialized else None
     if table is None:
         return conjugations(G, [c], np.arange(G.n)[:count])[0]
     row = table[c]

@@ -74,26 +74,30 @@ class _Parser:
         return self.pos >= len(self.text)
 
     def parse_expr(self) -> GroupExpr:
-        node = self.parse_term()
+        # term := atom | '(' expr ')', read with no frame of its own, so a
+        # level of nesting costs two frames: this one and parenthesized
+        term = (self.parse_expr, self.parse_atom)
+        node = self.parenthesized(*term)
         while True:
             self.skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] in "xX":
                 self.pos += 1
-                node = Product(node, self.parse_term())
+                node = Product(node, self.parenthesized(*term))
             else:
                 return node
 
-    def parse_term(self) -> GroupExpr:
+    def parenthesized(self, inner, bare):
+        """``"(" inner ")"`` if the next character is "(", else ``bare``."""
         self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            self.pos += 1
-            node = self.parse_expr()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        return self.parse_atom()
+        if self.pos >= len(self.text) or self.text[self.pos] != "(":
+            return bare()
+        self.pos += 1
+        value = inner()
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ")":
+            self.error("expected ')'")
+        self.pos += 1
+        return value
 
     def parse_atom(self) -> Atom:
         self.skip_ws()
@@ -103,22 +107,10 @@ class _Parser:
                 self.pos += len(name)
                 if name == "Q8":
                     return Atom("Q8", None)
-                return Atom(name, self.parse_int())
+                return Atom(name, self.parenthesized(self.parse_int, self.parse_int))
         self.error("expected a group atom (C, D, S, A, SL2, PSL2, PGL2 or Q8)")
 
     def parse_int(self) -> int:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            self.pos += 1
-            value = self.parse_bare_int()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return value
-        return self.parse_bare_int()
-
-    def parse_bare_int(self) -> int:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():

@@ -38,7 +38,7 @@ from .structure import subgroup_closure
 WITNESS_MAX_COPIES = 6
 
 
-def _is_nonabelian_simple(S: GroupTable) -> bool:
+def is_nonabelian_simple(S: GroupTable) -> bool:
     """Fewer conjugacy classes than elements (nonabelian), and each
     nontrivial class's normal closure, the subgroup it generates, is S."""
     classes = conjugacy_classes(S)
@@ -130,7 +130,7 @@ def find_inverted_witness(w: WreathAut) -> InvertedWitness:
     automorphism); the found twist is folded into the last cycle coordinate.
     """
     S = w.base
-    if not _is_nonabelian_simple(S):
+    if not is_nonabelian_simple(S):
         raise GroupBuildError("witness construction needs a nonabelian simple base")
     cycle = _sigma_cycle(w)
     everyone = np.arange(S.n)
@@ -196,6 +196,7 @@ class Psl2Witness:
     element: int
     coset_rep: Automorphism
     exponent: int | None
+    transcript: dict[str, bool]  # each check the witness makes, and its outcome
     verified: bool
 
 
@@ -209,7 +210,8 @@ def psl2_variant(q: int) -> str:
 
 def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) -> Psl2Witness:
     """An order-2 element of PSL2(q) inverted by the chosen representative of
-    the coset indexed by (variant, i)."""
+    the coset indexed by (variant, i).  A check that fails is recorded in the
+    transcript, and the witness is then not verified."""
     G = group if group is not None else build_psl2(q)
     if G.kind != "PSL2" or G.meta["q"] != q:
         raise GroupBuildError("group argument must be PSL2(q) for the same q")
@@ -253,9 +255,11 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
         rep = Automorphism(G, psl2_map(G, (0, 1, 1, 0), i), provenance="composed")
         elem = int(matrix_index(G, (0, 1, minus1, 0)))
 
-    if elem == 0 or G.mul(elem, elem) != 0:
-        raise TheoremViolationError("witness element does not have order 2")
-    verified = int(rep.images[elem]) == int(G.inv[elem])
+    transcript = {
+        "element_is_nontrivial": elem != 0,
+        "element_order_2": G.mul(elem, elem) == 0,
+        "rep_inverts_element": int(rep.images[elem]) == int(G.inv[elem]),
+    }
     return Psl2Witness(
         group=G,
         q=q,
@@ -264,5 +268,6 @@ def psl2_witness(q: int, i: int, variant: str, group: GroupTable | None = None) 
         element=elem,
         coset_rep=rep,
         exponent=exponent,
-        verified=verified,
+        transcript=transcript,
+        verified=all(transcript.values()),
     )

@@ -340,6 +340,22 @@ def test_row_images_are_formed_on_each_read():
         assert set(vars(row)) == keys  # nothing is cached on the handle
 
 
+def test_whole_row_images_build_no_table():
+    # a fresh PSL2(13): a shared one may have had its table built elsewhere
+    G = build_psl2(13)
+    A = compute_aut(G)
+    everyone = np.arange(G.n)
+    for j in (0, 1, len(A) // 2, len(A) - 1):
+        r, c = A.parts(j)
+        conj = conjugations(G, [c], everyone)[0]
+        assert np.array_equal(A[j].images, A.reps[r][conj])
+        assert np.array_equal(inner_automorphism(G, c).images, conj)
+    assert not G.is_materialized
+    # the row scan reads prefixes, and a prefix read builds the table
+    assert np.array_equal(A[1].prefix(70), A[1].images[:70])
+    assert G.is_materialized
+
+
 def test_autgroup_consistency_checks():
     G = build_alternating(5)
     A = compute_aut(G)

@@ -655,6 +655,12 @@ def test_wreath_copies_are_checked_before_any_draw(n):
     assert main(["witness", "wreath", "--base", "A5", "--n", n]) == EXIT_INPUT_ERROR
 
 
+def test_wreath_base_is_checked_before_its_aut():
+    # A5 x C2^3 is not simple; its brute Aut search would stop at its cap
+    argv = ["witness", "wreath", "--base", "A5 x C2 x C2 x C2", "--n", "2"]
+    assert main(argv) == EXIT_INPUT_ERROR
+
+
 def test_main_usage_errors_exit_as_input_errors():
     # argparse's own exit code 2 would read as a theorem-consistency violation
     assert main(["spectrum", "--group", "C0"]) == EXIT_INPUT_ERROR

@@ -6,7 +6,9 @@ n^2 products and n^2 int16 entries.  Everything else multiplies through
 multiplies on demand until then.  The readers are automorphisms and
 mappings.  The brute Aut search reads ``.table`` once, so that its products
 through ``mul_many`` come from a table where one can be built, and holds no
-n x n array of its own; the row scan's conjugations read rows of it.  The
+n x n array of its own.  A row's conjugation read as a prefix, as the row
+scan reads it, reads the table and so builds it; a whole image reads it
+only once built, and multiplies on demand until then.  The
 complete-mapping search, an n^2 algorithm, reads it through
 ``require_table()``.  This parses each module with ``ast`` and collects
 those that read a ``.table`` or ``.require_table`` attribute.

@@ -156,12 +156,12 @@ def test_wreath_witness_over_psl2_13():
 def test_simplicity_by_class_closures_matches_the_lattice(text):
     from autmap.parser import elaborate_text
     from autmap.structure import normal_subgroups
-    from autmap.witnesses import _is_nonabelian_simple
+    from autmap.witnesses import is_nonabelian_simple
 
     S = elaborate_text(text)
     T = S.require_table()
     by_lattice = not np.array_equal(T, T.T) and len(normal_subgroups(S)) == 2
-    assert _is_nonabelian_simple(S) == by_lattice == (text in ("A5", "PSL2(7)", "A6", "PSL2(8)"))
+    assert is_nonabelian_simple(S) == by_lattice == (text in ("A5", "PSL2(7)", "A6", "PSL2(8)"))
 
 
 def test_witness_rejects_solvable_base():
@@ -241,6 +241,26 @@ def test_psl2_cross_check_reads_the_representative(q, monkeypatch):
     monkeypatch.setattr(autmap.witnesses, "psl2_map", lambda G, nmat, i: np.arange(G.n))
     with pytest.raises(TheoremViolationError, match="diag"):
         psl2_witness(q, 0, "q1mod4")
+
+
+def test_psl2_transcript_is_formed_once(monkeypatch):
+    # an element of order 3 in place of the involution fails the order
+    # check: the witness records it, and the command reports it with exit 2
+    import autmap.witnesses
+    from autmap.cli import EXIT_THEOREM_VIOLATION, cmd_witness_psl2
+    from autmap.groups import element_orders
+
+    def order_3(G, entries):
+        return int(np.flatnonzero(element_orders(G) == 3)[0])
+
+    monkeypatch.setattr(autmap.witnesses, "matrix_index", order_3)
+    wit = psl2_witness(7, 0, "q3mod4")
+    assert wit.transcript["element_is_nontrivial"]
+    assert not wit.transcript["element_order_2"] and not wit.verified
+    results, table, code = cmd_witness_psl2(7, 0)
+    assert code == EXIT_THEOREM_VIOLATION
+    assert results["transcript"] == wit.transcript
+    assert not results["verified"] and not table[0]["verified"]
 
 
 def test_psl2_witness_variant_validation():
