@@ -24,6 +24,8 @@ Composition order matches function composition: (a*b)(g) = a(b(g)).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AutomorphismError, CapExceededError, StrategyError
@@ -33,10 +35,10 @@ from .groups import (
     blocks,
     center,
     closure_tree,
-    conjugacy_classes,
     conjugations,
     element_orders,
     is_homomorphism,
+    orbits,
     psl2_map,
     span_mask,
 )
@@ -124,15 +126,9 @@ class Automorphism:
         return Automorphism(self.parent, inv, provenance="composed")
 
     def order(self) -> int:
-        """Order as an element of Aut(G) (= its order as a permutation)."""
-        images = self.images
-        ident = np.arange(self.parent.n)
-        k = 1
-        cur = images
-        while not np.array_equal(cur, ident):
-            cur = images[cur]
-            k += 1
-        return k
+        """Order as an element of Aut(G): the lcm of its cycle lengths."""
+        sizes = np.bincount(orbits(self.images[None]))
+        return math.lcm(*sizes[sizes > 0].tolist())
 
     def __repr__(self):
         return f"Automorphism({self.parent.name}, {self.provenance})"
@@ -359,9 +355,8 @@ def _brute_aut_images(G: GroupTable) -> np.ndarray:
     if not gens:
         return np.arange(1, dtype=np.int32).reshape(1, 1)
     # an automorphism keeps each element's order and conjugacy class size
-    orders, size = element_orders(G), np.empty(G.n, dtype=np.int64)
-    for cls in conjugacy_classes(G):
-        size[cls] = len(cls)
+    least = orbits(conjugations(G, gens, np.arange(G.n)))
+    orders, size = element_orders(G), np.bincount(least)[least]
     cand_lists = [np.flatnonzero((orders == orders[g]) & (size == size[g])) for g in gens]
     tuples = np.empty((1, 0), dtype=np.int64)
     # each tuple's common centralizer of its images, as a row of ``masks``

@@ -10,7 +10,9 @@ Conventions shared by the whole package:
     form (lexicographic image tuples for permutations, packed entry codes for
     matrices, pair order for products);
   * permutations compose right-to-left, (p*q)(x) = p(q(x)), matching the
-    composition order used for automorphisms;
+    composition order used for automorphisms; S_m and A_m look an element up
+    by its images of the first m-1 points (m-2 in A_m);
+  * conjugacy classes, cosets and cycles are orbits, found by ``orbits``;
   * the full n x n multiplication table is built on first read of
     ``GroupTable.table``, for n <= 4096; until then, and always for larger
     groups, products are multiplied on demand through vectorized arithmetic
@@ -392,17 +394,18 @@ def _build_perm_group(kind: str, m: int) -> GroupTable:
     if kind == "alternating":
         i, j = np.triu_indices(m, 1)  # even: an even number of inversions
         arr = arr[(arr[:, i] > arr[:, j]).sum(axis=1) % 2 == 0]
-    pows = (m ** np.arange(m)).astype(np.int64)
-    codes = arr.astype(np.int64) @ pows
-    lookup = np.full(m**m, -1, dtype=TABLE_DTYPE)
-    lookup[codes] = np.arange(len(arr))
+    # looked up by the images of a base, the first m-1 points (the last image
+    # is the one left) or in A_m m-2 (the other order of the last two is odd)
+    base = max(m - 2 if kind == "alternating" else m - 1, 0)
+    head, pows = arr[:, :base], (m ** np.arange(base)).astype(np.int64)
+    lookup = np.full(m**base, -1, dtype=TABLE_DTYPE)
+    lookup[head.astype(np.int64) @ pows] = np.arange(len(arr))
 
     def mul_many(a, b):
-        comp = arr.ravel().take(np.asarray(a)[..., None] * m + arr[b])  # (p*q)(t) = p(q(t))
+        comp = arr.ravel().take(np.asarray(a)[..., None] * m + head[b])  # (p*q)(t) = p(q(t))
         return lookup[comp.astype(np.int64) @ pows]
 
-    inv_arr = np.argsort(arr, axis=1)
-    inv = lookup[inv_arr.astype(np.int64) @ pows]
+    inv = lookup[np.argsort(arr, axis=1)[:, :base].astype(np.int64) @ pows]
     return GroupTable(
         kind=kind,
         name=name,
@@ -679,19 +682,29 @@ def conjugations(G: GroupTable, cs, cols) -> np.ndarray:
     return np.asarray(G.mul_many(G.mul_many(cs, cols), G.inv[cs]), dtype=np.int32)
 
 
+def orbits(perms) -> np.ndarray:
+    """The least point of each point's orbit under the group generated by the
+    rows of ``perms``, a (k x n) array of permutations.  Round r pulls the
+    least label along each permutation, its 2^r-th power and the labels
+    themselves, until no label moves: then a label is constant on its orbit
+    and is its own label, so it is the orbit's least point."""
+    perms = np.asarray(perms, dtype=np.intp)
+    rows = np.arange(len(perms))[:, None]
+    least, power = np.arange(perms.shape[1]), perms
+    while True:
+        pulled = least[np.vstack([least, perms, power])].min(axis=0)
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, least):
+            return least
+        least, power = pulled, power[rows, power]
+
+
 def conjugacy_classes(G: GroupTable) -> list[list[int]]:
-    """Disjoint conjugacy classes, each sorted, ordered by least member."""
-    n = G.n
-    everyone = np.arange(n)
-    unseen = np.ones(n, dtype=bool)
-    classes = []
-    for x in range(n):
-        if not unseen[x]:
-            continue
-        orbit = np.flatnonzero(np.bincount(conjugations(G, everyone, [x]).ravel()))
-        unseen[orbit] = False
-        classes.append([int(v) for v in orbit])
-    return classes
+    """Disjoint conjugacy classes, each sorted, ordered by least member: the
+    orbits of conjugation by the generators."""
+    least = orbits(conjugations(G, G.generators, np.arange(G.n)))
+    members = np.argsort(least, kind="stable")  # class by class, each ascending
+    return [c.tolist() for c in np.split(members, np.flatnonzero(np.diff(least[members])) + 1)]
 
 
 def center(G: GroupTable) -> list[int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .automorphisms import Automorphism
 from .errors import CapExceededError, GroupBuildError, InvarianceError
-from .groups import GroupTable, conjugacy_classes, conjugations, is_homomorphism, span_mask
+from .groups import GroupTable, conjugacy_classes, conjugations, is_homomorphism, orbits, span_mask
 
 LATTICE_CAP = 1000
 
@@ -181,22 +181,15 @@ def quotient(G: GroupTable, N: Subgroup) -> tuple[GroupTable, np.ndarray]:
     if not N.is_normal():
         raise GroupBuildError("can only quotient by a normal subgroup")
     mem = np.array(N.members, dtype=np.int64)
-    proj = np.full(G.n, -1, dtype=np.int64)
-    coset_reps = []
-    for x in range(G.n):
-        if proj[x] >= 0:
-            continue
-        # x is the least member of its coset: a lesser one would have been
-        # met first and have projected x already
-        proj[G.mul_many(x, mem)] = len(coset_reps)
-        coset_reps.append(x)
-    reps_arr = np.array(coset_reps, dtype=np.int64)
+    # the cosets xN are the orbits of right multiplication by N's generators
+    right = G.mul_many(np.arange(G.n), np.array(N.generators, dtype=np.int64)[:, None])
+    coset_reps, proj = np.unique(orbits(right), return_inverse=True)
     quot = GroupTable(
         kind="quotient",
         name=f"{G.name}/N{len(N)}",
         labels=[f"[{G.labels[r]}]" for r in coset_reps],
-        mul_many_fn=lambda a, b: proj[G.mul_many(reps_arr[a], reps_arr[b])],
-        inv=proj[G.inv[reps_arr]],
+        mul_many_fn=lambda a, b: proj[G.mul_many(coset_reps[a], coset_reps[b])],
+        inv=proj[G.inv[coset_reps]],
         meta={"coset_reps": coset_reps},
     )
     # projection is a homomorphism with kernel exactly N

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from autmap import automorphisms
-from autmap.groups import GroupTable, closure_tree, element_orders
+from autmap.groups import GroupTable, closure_tree, conjugations, element_orders
 from autmap.parser import elaborate_text
 
 
@@ -163,3 +163,43 @@ def first_inverted_reference(G: GroupTable, images) -> tuple[int, int] | None:
             if images[G.mul(G.mul(c, x), G.inverse(c))] == G.inverse(x):
                 return c, x
     return None
+
+
+def conjugacy_classes_reference(G: GroupTable) -> list[list[int]]:
+    """Conjugacy classes by a walk over the elements: the least element not
+    yet met is conjugated by every element, once per class.  Each class is
+    sorted, and the classes come in order of least member."""
+    everyone = np.arange(G.n)
+    unseen = np.ones(G.n, dtype=bool)
+    classes = []
+    for x in range(G.n):
+        if unseen[x]:
+            orbit = np.flatnonzero(np.bincount(conjugations(G, everyone, [x]).ravel()))
+            unseen[orbit] = False
+            classes.append(orbit.tolist())
+    return classes
+
+
+def quotient_reference(G: GroupTable, N) -> tuple[list[int], np.ndarray]:
+    """(coset_reps, proj) of G/N by a walk over the elements: an element not
+    yet projected is the least member of its coset xN, which is numbered
+    next."""
+    mem = np.array(N.members, dtype=np.int64)
+    proj = np.full(G.n, -1, dtype=np.int64)
+    reps = []
+    for x in range(G.n):
+        if proj[x] < 0:
+            proj[G.mul_many(x, mem)] = len(reps)
+            reps.append(x)
+    return reps, proj
+
+
+def permutation_order_reference(images) -> int:
+    """Least k >= 1 with ``images`` composed with itself k times the identity."""
+    images = np.asarray(images)
+    ident = np.arange(len(images))
+    k, cur = 1, images
+    while not np.array_equal(cur, ident):
+        cur = images[cur]
+        k += 1
+    return k

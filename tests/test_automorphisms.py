@@ -34,6 +34,13 @@ import helpers
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("text", ["A5", "S5", "PSL2(16)", "C15", "D12", "Q8 x C3"])
+def test_order_matches_the_composition_loop(text):
+    A = compute_aut(helpers.built(text))
+    for j in range(0, len(A), max(1, len(A) // 40)):
+        assert A[j].order() == helpers.permutation_order_reference(A[j].images)
+
+
 def test_inner_by_identity_is_identity():
     G = build_symmetric(3)
     assert inner_automorphism(G, 0).is_identity()

@@ -31,6 +31,7 @@ from autmap.groups import (
     build_dihedral,
     build_symmetric,
     conjugacy_classes,
+    orbits,
 )
 from helpers import built, first_inverted_reference, inner_rows
 
@@ -41,6 +42,27 @@ def _power_map_aut(G, m):
 
 def _inversion_aut(G):
     return Automorphism(G, G.inv)
+
+
+@pytest.mark.parametrize(
+    "text", ["C5 x C5", "D5", "A5", "PSL2(7)", "C9", "C15", "S4", "C3 x S3"]
+)
+def test_minus1_complete_rows_are_the_regular_twisted_orbits(text):
+    # alpha o iota_c fixes x exactly when z = c x c^-1 fixes c under the
+    # twisted action z.c = z c alpha(z)^-1, so it is (-1)-complete exactly
+    # when c's twisted orbit is all of G; on C_n the action is a translation,
+    # one long cycle
+    G = built(text)
+    aut = compute_aut(G)
+    idx, gens = np.arange(G.n), np.array(G.generators, dtype=np.int64)
+    regular = []
+    for rep in aut.reps:
+        twisted = G.mul_many(G.mul_many(gens[:, None], idx), G.inv[rep[gens]][:, None])
+        least = orbits(twisted)
+        regular.append(np.bincount(least)[least] == G.n)
+    for j in range(len(aut)):
+        r, c = aut.parts(j)
+        assert regular[r][c] == is_k_complete(aut[j], -1).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import types
 import numpy as np
 import pytest
 
+from autmap import groups
+from autmap.catalog import NONSOLVABLE_ENTRIES
 from autmap.errors import CapExceededError, GroupBuildError
 from autmap.fields import field_for
 from autmap.groups import (
@@ -21,9 +23,17 @@ from autmap.groups import (
     conjugacy_classes,
     direct_product,
     element_orders,
+    orbits,
     sylow2_profile,
 )
-from helpers import built, closure, element_order, find_isomorphism, perm_parity
+from helpers import (
+    built,
+    closure,
+    conjugacy_classes_reference,
+    element_order,
+    find_isomorphism,
+    perm_parity,
+)
 
 # ---------------------------------------------------------------------------
 # orders of the atomic constructors
@@ -49,6 +59,30 @@ def test_alternating_group_is_the_even_permutations(m):
     assert A.n == max(1, math.factorial(m) // 2)
     even = [p for p in S.meta["perm_array"].tolist() if perm_parity(p) == 0]
     assert A.meta["perm_array"].tolist() == even
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_permutation_products_are_compositions(m):
+    # each group looks its elements up by their images of a base of m - 1
+    # points, or m - 2 in A_m
+    for G in (built(f"S{m}"), built(f"A{m}")):
+        arr = G.meta["perm_array"]
+        a, b = np.random.default_rng(m).integers(0, G.n, (2, 200))
+        assert np.array_equal(arr[G.mul_many(a, b)], np.take_along_axis(arr[a], arr[b], axis=1))
+        assert np.array_equal(arr[G.inv], np.argsort(arr, axis=1))
+
+
+def test_alternating_7_keeps_a_small_lookup():
+    # its lookup has 7^5 entries on base images, where an m^m one had 823,543
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        G = build_alternating(7)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert G.n == 2520 and kept < 2**20
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
@@ -173,6 +207,37 @@ def test_classes_partition_and_identity_singleton():
         assert classes[0] == [0]
         everything = sorted(x for c in classes for x in c)
         assert everything == list(range(G.n))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C1", "C2 x C2 x C2", "Q8 x Q8", "D256", *(e.expr for e in NONSOLVABLE_ENTRIES),
+     "PSL2(16)", "S7", "A5 x A5"],
+)
+def test_conjugacy_classes_match_the_per_class_walk(text):
+    G = built(text)
+    assert conjugacy_classes(G) == conjugacy_classes_reference(G)
+
+
+def test_orbits_close_one_long_cycle_in_logarithmic_rounds(monkeypatch):
+    # x -> x + 1 on C4096 is one 4096-cycle: pulled along it alone, the least
+    # label moves one point a round; its 2^r-th powers close it in ~2 log2(n)
+    rounds = []
+
+    class CountingNumpy:  # one fixed-point test per round
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array_equal(self, a, b):
+            rounds.append(1)
+            return np.array_equal(a, b)
+
+    G = built("C4096")
+    translation = G.mul_many(np.arange(G.n), np.array(G.generators)[:, None])
+    monkeypatch.setattr(groups, "np", CountingNumpy())
+    least = orbits(translation)
+    assert G.generators == (1,) and not least.any()
+    assert len(rounds) <= 2 * 12 + 2
 
 
 def test_center():

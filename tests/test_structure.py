@@ -15,6 +15,7 @@ from autmap.parser import elaborate_text
 from autmap.structure import (
     Subgroup,
     derived_series,
+    full_subgroup,
     is_solvable,
     normal_subgroups,
     quotient,
@@ -25,7 +26,7 @@ from autmap.structure import (
     transport_aut,
     trivial_subgroup,
 )
-from helpers import built, closure
+from helpers import built, closure, quotient_reference
 
 # ---------------------------------------------------------------------------
 # derived series and solvability
@@ -172,6 +173,25 @@ def test_radical_is_solvable_normal_and_maximal():
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, normal",
+    [("S3", "(1 2 3)"), ("A5 x C2", "center"), ("SL2(17)", "center"), ("S4", "trivial"),
+     ("A5", "full"), ("C4096", "full")],
+)
+def test_quotient_matches_the_coset_walk(text, normal):
+    # C4096's one generator moves a point around one 4096-cycle
+    G = built(text)
+    N = {
+        "center": lambda: Subgroup(G, tuple(center(G))),
+        "trivial": lambda: trivial_subgroup(G),
+        "full": lambda: full_subgroup(G),
+    }.get(normal, lambda: subgroup_closure(G, [G.labels.index(normal)]))()
+    Q, proj = quotient(G, N)
+    reps, ref_proj = quotient_reference(G, N)
+    assert Q.meta["coset_reps"].tolist() == reps and np.array_equal(proj, ref_proj)
+    assert Q.n == G.n // len(N)
 
 
 def test_quotient_s3_by_a3():
